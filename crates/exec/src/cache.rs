@@ -309,6 +309,22 @@ impl<V> ContentCache<V> {
         self.budget
     }
 
+    /// The installed value for `key`, counted as a hit, or `None` when
+    /// the key is absent or still in flight — counted as nothing, so a
+    /// caller that falls back to [`ContentCache::get_or_compute_weighed`]
+    /// still counts exactly one miss per key.
+    pub fn get(&self, key: CacheKey) -> Option<Arc<V>> {
+        let value = {
+            let mut state = self.state.lock().expect("cache map lock");
+            let entry = state.map.get_mut(&key)?;
+            let value = Arc::clone(entry.cell.get()?);
+            entry.referenced = true;
+            value
+        };
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        Some(value)
+    }
+
     /// Return the entry for `key`, computing and installing it with
     /// `compute` on the first lookup. Concurrent lookups of a cold key
     /// block on the installer rather than recomputing, so `compute` runs
@@ -551,6 +567,18 @@ mod tests {
                 resident_bytes: 0,
             }
         );
+    }
+
+    #[test]
+    fn get_hits_installed_entries_and_counts_nothing_on_a_miss() {
+        let cache: ContentCache<u64> = ContentCache::new();
+        let key = CacheKey::of(&["k"]);
+        assert!(cache.get(key).is_none());
+        let installed = cache.get_or_compute(key, || 7);
+        let got = cache.get(key).expect("installed entry");
+        assert!(Arc::ptr_eq(&installed, &got));
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses), (1, 1));
     }
 
     #[test]

@@ -322,6 +322,14 @@ impl<V> TieredCache<V> {
         self.disk.is_some()
     }
 
+    /// A memory-tier hit for `key`, counted as one; `None` otherwise,
+    /// counted as nothing and without consulting the persistent tier
+    /// (see [`ContentCache::get`]). The hook for callers that must do
+    /// work before they can compute a miss.
+    pub fn get(&self, key: CacheKey) -> Option<Arc<V>> {
+        self.memory.get(key)
+    }
+
     /// Look up `key`, trying memory, then the persistent tier (via
     /// `decode`), then `compute` (whose result is persisted via
     /// `encode`). Returns the value, how the lookup was served, and how

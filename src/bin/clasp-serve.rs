@@ -14,8 +14,8 @@
 //!                         (default 0 = one per hardware thread)
 //!   --cache-dir DIR       persistent artifact tier: results survive
 //!                         restarts and are shared between processes
-//!   --memory-budget BYTES byte budget for the in-memory tier
-//!                         (default unbounded)
+//!   --memory-budget BYTES byte budget for the in-memory tier: the
+//!                         reply payload bytes held (default unbounded)
 //! ```
 //!
 //! On startup the daemon prints `clasp-serve listening on ADDR` to

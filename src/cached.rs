@@ -1,13 +1,16 @@
 //! Content-addressed compile cache: memoized [`compile_full`](crate::compile_full)
 //! over an in-memory tier with an optional persistent disk tier.
 //!
-//! The key is a 128-bit FNV-1a hash-of-hashes over three canonical
-//! texts — [`clasp_text::write_loop`] of the graph, the machine
-//! description with its display name normalized out, and the `Debug`
-//! rendering of the [`CompileRequest`]. All three are *streamed* into
-//! the hasher ([`clasp_exec::KeyBuilder`]): a warm lookup allocates
-//! nothing, which `tests/alloc_free.rs` pins. Two requests collide
-//! exactly when nothing the pipeline can observe differs:
+//! One tier holds two disjoint key spaces.
+//!
+//! **In-process keys** ([`CompileCache::key`]) are a 128-bit FNV-1a
+//! hash-of-hashes over three canonical texts — [`clasp_text::write_loop`]
+//! of the graph, the machine description with its display name
+//! normalized out, and the `Debug` rendering of the [`CompileRequest`].
+//! All three are *streamed* into the hasher ([`clasp_exec::KeyBuilder`]):
+//! a warm lookup allocates nothing, which `tests/alloc_free.rs` pins. Two
+//! requests collide exactly when nothing the pipeline can observe
+//! differs:
 //!
 //! - the loop text round-trips everything the pipeline reads (ops,
 //!   kinds, dependences, distances), so two graphs with the same text
@@ -19,15 +22,28 @@
 //! - `CompileRequest` is `Copy + Debug` with no interior state, so its
 //!   `Debug` text is a faithful rendering of every knob.
 //!
-//! Results (including failures) are memoized behind `Arc`, and hit/miss
-//! counters are deterministic even under thread contention — see
-//! [`clasp_exec::cache`] for the contention contract. With a disk tier
-//! attached (see [`CompileCache::with_limits`]), every computed result
-//! is persisted through the [`crate::codec`] canonical serialization
-//! and later processes are served from disk (a *promotion*), with the
-//! outcome ticked into [`Counter::CacheDiskHits`],
-//! [`Counter::CacheDiskErrors`], [`Counter::CachePromotions`] and
-//! [`Counter::CacheEvictions`].
+//! These entries hold the decoded artifact, shared behind an `Arc`.
+//!
+//! **Wire keys** ([`CompileCache::wire_key`]) hash a tag part, then the
+//! daemon request *as received*: its loop text, its machine text and the
+//! parsed `CompileRequest`. A warm wire lookup therefore parses nothing
+//! and renders nothing, and its reply is a pure function of the request
+//! (a machine named `bar` is never answered with a cached `foo`). These
+//! entries hold only the canonical [`crate::codec`] payload a reply is
+//! rendered from, so the memory byte budget — which charges every entry
+//! its payload length — bounds what a daemon really holds. The tag part
+//! keeps a wire key from ever equalling an in-process key, even for a
+//! request whose texts are exactly the canonical ones.
+//!
+//! Results (including failures) are memoized, and hit/miss counters are
+//! deterministic even under thread contention — see [`clasp_exec::cache`]
+//! for the contention contract. With a disk tier attached (see
+//! [`CompileCache::with_limits`]), every computed result is persisted
+//! through the [`crate::codec`] canonical serialization and later
+//! processes are served from disk (a *promotion*, which decodes the
+//! payload once — wire entries to validate it), with the outcome ticked
+//! into [`Counter::CacheDiskHits`], [`Counter::CacheDiskErrors`],
+//! [`Counter::CachePromotions`] and [`Counter::CacheEvictions`].
 
 use crate::codec;
 use crate::driver::{compile_full_observed, CompileRequest, CompiledArtifact};
@@ -37,19 +53,42 @@ use clasp_exec::{
     CacheKey, CacheStats, ContentCache, DiskTier, KeyBuilder, TierGrade, TieredCache, TieredStats,
 };
 use clasp_machine::MachineSpec;
-use clasp_obs::{Counter, Obs};
+use clasp_obs::{Counter, Obs, Span};
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// A memoized result: the artifact or the pipeline's refusal.
 pub type CachedCompile = Arc<Result<CompiledArtifact, PipelineError>>;
 
+/// First part of every wire key (see the module docs).
+const WIRE_KEY_TAG: &str = "clasp-serve request";
+
+/// One memory-tier entry: the decoded artifact for an in-process key,
+/// the canonical payload for a wire key.
+pub(crate) enum Entry {
+    Artifact(CachedCompile),
+    Payload(Box<str>),
+}
+
+impl Entry {
+    /// The canonical payload: stored for a wire entry, encoded for an
+    /// artifact (the tier's byte weight and disk store on a miss).
+    pub(crate) fn payload(&self, iterations: i64) -> Cow<'_, str> {
+        match self {
+            Entry::Payload(payload) => Cow::Borrowed(payload),
+            Entry::Artifact(result) => Cow::Owned(codec::encode(result, iterations)),
+        }
+    }
+}
+
 /// A shared, thread-safe memo table for [`compile_full`] keyed by
 /// compile content (canonical loop text, canonical machine text,
-/// request rendering). See the module docs for the collision contract.
+/// request rendering) or by a daemon request as received. See the
+/// module docs for both key spaces.
 ///
 /// [`compile_full`]: crate::compile_full
 pub struct CompileCache {
-    cache: TieredCache<Result<CompiledArtifact, PipelineError>>,
+    cache: TieredCache<Entry>,
 }
 
 impl Default for CompileCache {
@@ -109,6 +148,22 @@ impl CompileCache {
         kb.finish()
     }
 
+    /// The wire key for one daemon request: a tag part, then the loop
+    /// and machine texts as received and the parsed request knobs. No
+    /// text is parsed or rendered, so a warm wire lookup costs this hash
+    /// and the memory lookup.
+    pub(crate) fn wire_key(loop_text: &str, machine_text: &str, req: &CompileRequest) -> CacheKey {
+        let mut kb = KeyBuilder::new();
+        kb.text(WIRE_KEY_TAG);
+        kb.text(loop_text);
+        kb.text(machine_text);
+        kb.stream(|s| {
+            use std::fmt::Write as _;
+            let _ = write!(s, "{req:?}");
+        });
+        kb.finish()
+    }
+
     /// Compile through the cache: the first request for a key runs
     /// [`compile_full`](crate::compile_full) (a miss), every later
     /// request shares its result (a hit). Concurrent requests for the
@@ -133,39 +188,93 @@ impl CompileCache {
         req: &CompileRequest,
         obs: &Obs,
     ) -> CachedCompile {
-        let key = Self::key(g, machine, req);
-        let span = obs.begin("cache.lookup");
+        self.compile_admitted(g, machine, req, obs, || ())
+    }
+
+    /// [`CompileCache::compile_observed`] calling `admit` just before a
+    /// miss compiles and holding what it returns (an admission permit)
+    /// until the compile ends, so hits and promotions never wait on it.
+    pub(crate) fn compile_admitted<P>(
+        &self,
+        g: &Ddg,
+        machine: &MachineSpec,
+        req: &CompileRequest,
+        obs: &Obs,
+        admit: impl FnOnce() -> P,
+    ) -> CachedCompile {
         let iterations = req.iterations;
-        let (value, grade, evicted) = self.cache.get_or_compute(
-            key,
-            |payload| codec::decode(payload).ok(),
-            |result| codec::encode(result, iterations),
-            || compile_full_observed(g, machine, req, obs),
+        let entry = self.lookup(
+            Self::key(g, machine, req),
+            obs,
+            |payload| Some(Entry::Artifact(Arc::new(codec::decode(payload).ok()?))),
+            |entry| entry.payload(iterations).into_owned(),
+            || {
+                let _permit = admit();
+                Entry::Artifact(Arc::new(compile_full_observed(g, machine, req, obs)))
+            },
         );
-        let outcome = match grade {
-            TierGrade::Memory => {
-                obs.add(Counter::CacheHits, 1);
-                "hit"
+        match &*entry {
+            Entry::Artifact(result) => Arc::clone(result),
+            // Only a 128-bit collision with a wire key lands here; stored
+            // payloads were encoded here or validated on promotion.
+            Entry::Payload(payload) => {
+                Arc::new(codec::decode(payload).expect("a stored payload decodes"))
             }
-            TierGrade::Disk => {
-                obs.add(Counter::CacheDiskHits, 1);
-                obs.add(Counter::CachePromotions, 1);
-                "disk"
-            }
-            TierGrade::Computed { disk_error } => {
-                obs.add(Counter::CacheMisses, 1);
-                if disk_error {
-                    obs.add(Counter::CacheDiskErrors, 1);
-                }
-                "miss"
-            }
-        };
-        if evicted > 0 {
-            obs.add(Counter::CacheEvictions, evicted);
         }
-        obs.end_with(span, || {
-            vec![("key", key.to_string()), ("outcome", outcome.to_string())]
-        });
+    }
+
+    /// The memory-tier entry for a wire key, counted and recorded as a
+    /// hit; `None` on a memory miss, which counts nothing until the
+    /// caller's [`CompileCache::wire_compute`].
+    pub(crate) fn wire_hit(&self, key: CacheKey, obs: &Obs) -> Option<Arc<Entry>> {
+        let span = obs.begin("cache.lookup");
+        let entry = self.cache.get(key)?;
+        record(obs, span, key, TierGrade::Memory, 0);
+        Some(entry)
+    }
+
+    /// The wire lookup after a memory miss: promote the payload from
+    /// disk (decoding it once to validate it) or compile `g` on
+    /// `machine` under `admit`, keeping only the canonical payload.
+    pub(crate) fn wire_compute<P>(
+        &self,
+        key: CacheKey,
+        g: &Ddg,
+        machine: &MachineSpec,
+        req: &CompileRequest,
+        obs: &Obs,
+        admit: impl FnOnce() -> P,
+    ) -> Arc<Entry> {
+        let iterations = req.iterations;
+        self.lookup(
+            key,
+            obs,
+            |payload| {
+                codec::decode(payload)
+                    .is_ok()
+                    .then(|| Entry::Payload(payload.into()))
+            },
+            |entry| entry.payload(iterations).into_owned(),
+            || {
+                let _permit = admit();
+                let result = compile_full_observed(g, machine, req, obs);
+                Entry::Payload(codec::encode(&result, iterations).into_boxed_str())
+            },
+        )
+    }
+
+    /// One tier lookup inside a `cache.lookup` span.
+    fn lookup(
+        &self,
+        key: CacheKey,
+        obs: &Obs,
+        decode: impl FnOnce(&str) -> Option<Entry>,
+        encode: impl FnOnce(&Entry) -> String,
+        compute: impl FnOnce() -> Entry,
+    ) -> Arc<Entry> {
+        let span = obs.begin("cache.lookup");
+        let (value, grade, evicted) = self.cache.get_or_compute(key, decode, encode, compute);
+        record(obs, span, key, grade, evicted);
         value
     }
 
@@ -178,6 +287,35 @@ impl CompileCache {
     pub fn tiered_stats(&self) -> TieredStats {
         self.cache.stats()
     }
+}
+
+/// Close a lookup's span with its key and outcome, ticking the matching
+/// cache counters.
+fn record(obs: &Obs, span: Span, key: CacheKey, grade: TierGrade, evicted: u64) {
+    let outcome = match grade {
+        TierGrade::Memory => {
+            obs.add(Counter::CacheHits, 1);
+            "hit"
+        }
+        TierGrade::Disk => {
+            obs.add(Counter::CacheDiskHits, 1);
+            obs.add(Counter::CachePromotions, 1);
+            "disk"
+        }
+        TierGrade::Computed { disk_error } => {
+            obs.add(Counter::CacheMisses, 1);
+            if disk_error {
+                obs.add(Counter::CacheDiskErrors, 1);
+            }
+            "miss"
+        }
+    };
+    if evicted > 0 {
+        obs.add(Counter::CacheEvictions, evicted);
+    }
+    obs.end_with(span, || {
+        vec![("key", key.to_string()), ("outcome", outcome.to_string())]
+    });
 }
 
 #[cfg(test)]

@@ -24,10 +24,11 @@
 //! thread, so one misbehaving client never stalls another.
 //!
 //! Replies are *bit-identical* for a given request regardless of how
-//! many worker threads the service admits and whether the artifact was
-//! computed, served from memory, or promoted from the persistent tier —
-//! the canonical payload carries no timings and no incidental state
-//! (see [`crate::codec`]). CI's determinism gate diffs exactly this.
+//! many worker threads the service admits, what the daemon served
+//! before, and whether the artifact was computed, served from memory,
+//! or promoted from the persistent tier — the canonical payload carries
+//! no timings and no incidental state (see [`crate::codec`]). CI's
+//! determinism gate diffs exactly this.
 
 use crate::service::{CompileService, ServiceReply, ServiceRequest, PROTOCOL};
 use std::collections::HashMap;
@@ -541,7 +542,17 @@ mod tests {
             }
             // Odd cycles drop without a single frame: abrupt close.
         }
+        // An abrupt close can reach the listener after the registry
+        // reads empty: wait for every accept before checking the drain.
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while server.connections_accepted() < 40 {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "accepted {} of 40 connections",
+                server.connections_accepted()
+            );
+            std::thread::sleep(std::time::Duration::from_millis(5));
+        }
         while server.open_connections() > 0 {
             assert!(
                 std::time::Instant::now() < deadline,

@@ -11,6 +11,8 @@
 //!   kernel — caching the full artifact would be pure waste),
 //! - an admission gate bounding how many compiles run at once, so a
 //!   daemon under fan-in degrades to queueing rather than thrashing.
+//!   Every entry point looks up first and admits only a miss's
+//!   compute, so a hit never queues behind a cold compile.
 //!
 //! The service also defines the *wire* request/response shape shared
 //! with the `clasp-serve` daemon: a [`ServiceRequest`] carries the
@@ -20,9 +22,12 @@
 //! payload (bit-identical whether computed, served from memory, or
 //! promoted from disk) plus the optional Chrome trace JSON. Both render
 //! to and parse from plain text, so the TCP layer in [`crate::serve`]
-//! only moves opaque frames.
+//! only moves opaque frames. Wire requests are cached under their own
+//! key space (see the `cached` module): a repeated request costs a hash, a
+//! lookup and a copy of the stored payload bytes, and its reply is a
+//! pure function of the request.
 
-use crate::cached::{CachedCompile, CompileCache};
+use crate::cached::{CachedCompile, CompileCache, Entry};
 use crate::codec;
 use crate::driver::{BackendKind, CompileRequest, RegisterModelKind};
 use crate::pipeline::{compile_loop, unified_ii, PipelineConfig};
@@ -34,7 +39,7 @@ use clasp_obs::Obs;
 use clasp_sched::{SchedulerConfig, SchedulerKind};
 use std::fmt;
 use std::path::PathBuf;
-use std::sync::{Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 
 /// First line of every wire request and reply.
 pub const PROTOCOL: &str = "clasp-serve/1";
@@ -46,7 +51,9 @@ pub struct ServiceConfig {
     /// thread). Requests beyond the limit queue deterministically on
     /// the gate rather than oversubscribing the machine.
     pub threads: usize,
-    /// Byte budget for the in-memory artifact tier (`None` = unbounded).
+    /// Byte budget for the in-memory artifact tier (`None` = unbounded),
+    /// charged at each entry's canonical payload length. Daemon entries
+    /// hold just that payload, so for a daemon it bounds what is held.
     pub memory_budget: Option<usize>,
     /// Directory for the persistent artifact tier (`None` = memory only).
     pub cache_dir: Option<PathBuf>,
@@ -162,7 +169,8 @@ impl CompileService {
     }
 
     /// Full-driver compile through the tiered cache (see
-    /// [`CompileCache::compile_observed`]), gated by admission.
+    /// [`CompileCache::compile_observed`]); only a miss's compile is
+    /// gated by admission.
     pub fn compile_artifact(
         &self,
         g: &Ddg,
@@ -170,8 +178,8 @@ impl CompileService {
         req: &CompileRequest,
         obs: &Obs,
     ) -> CachedCompile {
-        let _permit = self.gate.acquire();
-        self.full.compile_observed(g, machine, req, obs)
+        self.full
+            .compile_admitted(g, machine, req, obs, || self.gate.acquire())
     }
 
     /// Phase-1+2 II only (no emission, no artifact): the experiment
@@ -180,8 +188,8 @@ impl CompileService {
     /// failure.
     pub fn ii_of(&self, g: &Ddg, machine: &MachineSpec, config: PipelineConfig) -> Option<u32> {
         let key = phase2_key("ii", g, machine, &format!("{config:?}"));
-        let _permit = self.gate.acquire();
         *self.phase2.get_or_compute(key, || {
+            let _permit = self.gate.acquire();
             compile_loop(g, machine, config).ok().map(|c| c.ii())
         })
     }
@@ -195,10 +203,10 @@ impl CompileService {
         sched: SchedulerConfig,
     ) -> Option<u32> {
         let key = phase2_key("unified", g, machine, &format!("{sched:?}"));
-        let _permit = self.gate.acquire();
-        *self
-            .unified
-            .get_or_compute(key, || unified_ii(g, machine, sched).ok())
+        *self.unified.get_or_compute(key, || {
+            let _permit = self.gate.acquire();
+            unified_ii(g, machine, sched).ok()
+        })
     }
 
     /// The differential-oracle pipeline routed through the service
@@ -233,37 +241,66 @@ impl CompileService {
         }
     }
 
-    /// Handle one parsed wire request end-to-end: parse the texts,
-    /// compile through the cache, render the canonical artifact payload
-    /// (and the trace, when captured).
+    /// Handle one parsed wire request end-to-end: look its texts up as
+    /// received, and only on a miss parse them and compile; return the
+    /// canonical artifact payload (and the trace, when captured).
     pub fn handle(&self, sreq: &ServiceRequest) -> ServiceReply {
-        let g = match clasp_text::parse_loop(&sreq.loop_text) {
-            Ok(g) => g,
-            Err(e) => return ServiceReply::bad_request(format!("loop: {e}")),
-        };
-        let machine = match clasp_text::parse_machine(&sreq.machine_text) {
-            Ok(m) => m,
-            Err(e) => return ServiceReply::bad_request(format!("machine: {e}")),
-        };
-        let obs = if sreq.capture_trace {
-            Obs::enabled()
-        } else {
-            Obs::disabled()
-        };
-        let result = self.compile_artifact(&g, &machine, &sreq.request, &obs);
-        ServiceReply {
-            outcome: Ok(codec::encode(&result, sreq.request.iterations)),
-            trace: sreq.capture_trace.then(|| obs.chrome_trace()),
+        let (outcome, trace) = self.serve(sreq);
+        match outcome {
+            Ok(entry) => ServiceReply {
+                outcome: Ok(entry.payload(sreq.request.iterations).into_owned()),
+                trace,
+            },
+            Err(message) => ServiceReply::bad_request(message),
         }
     }
 
     /// Handle one raw wire request: parse, dispatch, render. Any parse
     /// failure becomes a `bad-request` reply — the connection survives.
+    /// A hit renders the stored payload bytes straight into the reply.
     pub fn respond(&self, wire: &str) -> String {
-        match ServiceRequest::parse(wire) {
-            Ok(sreq) => self.handle(&sreq).render(),
-            Err(e) => ServiceReply::bad_request(e.0).render(),
+        let sreq = match ServiceRequest::parse(wire) {
+            Ok(sreq) => sreq,
+            Err(e) => return ServiceReply::bad_request(e.0).render(),
+        };
+        let (outcome, trace) = self.serve(&sreq);
+        match outcome {
+            Ok(entry) => render_reply(
+                Ok(&entry.payload(sreq.request.iterations)),
+                trace.as_deref(),
+            ),
+            Err(message) => ServiceReply::bad_request(message).render(),
         }
+    }
+
+    /// The wire path behind [`CompileService::handle`] and
+    /// [`CompileService::respond`]: the tier entry holding the reply's
+    /// payload, or a bad-request message, plus the captured trace.
+    fn serve(&self, sreq: &ServiceRequest) -> (Result<Arc<Entry>, String>, Option<String>) {
+        let obs = if sreq.capture_trace {
+            Obs::enabled()
+        } else {
+            Obs::disabled()
+        };
+        let key = CompileCache::wire_key(&sreq.loop_text, &sreq.machine_text, &sreq.request);
+        let entry = match self.full.wire_hit(key, &obs) {
+            Some(entry) => entry,
+            None => {
+                let g = match clasp_text::parse_loop(&sreq.loop_text) {
+                    Ok(g) => g,
+                    Err(e) => return (Err(format!("loop: {e}")), None),
+                };
+                let machine = match clasp_text::parse_machine(&sreq.machine_text) {
+                    Ok(m) => m,
+                    Err(e) => return (Err(format!("machine: {e}")), None),
+                };
+                self.full
+                    .wire_compute(key, &g, &machine, &sreq.request, &obs, || {
+                        self.gate.acquire()
+                    })
+            }
+        };
+        (Ok(entry), sreq.capture_trace.then(|| obs.chrome_trace()))
     }
 
     /// In-memory artifact-tier counters.
@@ -438,77 +475,85 @@ impl ServiceRequest {
                 break;
             }
             let mut toks = line.split_ascii_whitespace();
-            let next = |toks: &mut std::str::SplitAsciiWhitespace<'_>, what: &str| {
+            let header = toks.next();
+            let mut next = |what: &str| {
                 toks.next()
-                    .map(str::to_string)
                     .ok_or_else(|| bad(format!("{what}: missing token in `{line}`")))
             };
-            match toks.next() {
+            match header {
                 Some("assign") => {
                     let a = &mut request.pipeline.assign;
-                    a.iterative = parse_flag(&next(&mut toks, "assign")?, "assign iterative")?;
-                    a.heuristic = parse_flag(&next(&mut toks, "assign")?, "assign heuristic")?;
-                    a.pcr_prediction = parse_flag(&next(&mut toks, "assign")?, "assign pcr")?;
-                    a.ordering = match next(&mut toks, "assign")?.as_str() {
+                    a.iterative = parse_flag(next("assign")?, "assign iterative")?;
+                    a.heuristic = parse_flag(next("assign")?, "assign heuristic")?;
+                    a.pcr_prediction = parse_flag(next("assign")?, "assign pcr")?;
+                    a.ordering = match next("assign")? {
                         "scc-swing" => Ordering::SccSwing,
                         "swing-only" => Ordering::SwingOnly,
                         "bottom-up" => Ordering::BottomUp,
                         other => return Err(bad(format!("unknown ordering `{other}`"))),
                     };
-                    a.budget_factor = next(&mut toks, "assign")?
+                    a.budget_factor = next("assign")?
                         .parse()
                         .map_err(|_| bad("assign: bad budget factor"))?;
-                    a.max_ii = match next(&mut toks, "assign")?.as_str() {
+                    a.max_ii = match next("assign")? {
                         "-" => None,
                         v => Some(v.parse().map_err(|_| bad("assign: bad max II"))?),
                     };
                 }
                 Some("sched") => {
-                    request.pipeline.sched.budget_factor = next(&mut toks, "sched")?
+                    request.pipeline.sched.budget_factor = next("sched")?
                         .parse()
                         .map_err(|_| bad("sched: bad budget factor"))?;
                 }
                 Some("backend") => {
-                    request.backend = match next(&mut toks, "backend")?.as_str() {
+                    request.backend = match next("backend")? {
                         "heuristic" => BackendKind::Heuristic,
                         "exact" => BackendKind::Exact,
                         other => return Err(bad(format!("unknown backend `{other}`"))),
                     };
                 }
                 Some("scheduler") => {
-                    request.pipeline.scheduler = match next(&mut toks, "scheduler")?.as_str() {
+                    request.pipeline.scheduler = match next("scheduler")? {
                         "iterative" => SchedulerKind::Iterative,
                         "swing" => SchedulerKind::Swing,
                         other => return Err(bad(format!("unknown scheduler `{other}`"))),
                     };
                 }
                 Some("model") => {
-                    request.register_model = match next(&mut toks, "model")?.as_str() {
+                    request.register_model = match next("model")? {
                         "mve" => RegisterModelKind::Mve,
                         "rotating" => RegisterModelKind::Rotating,
                         other => return Err(bad(format!("unknown register model `{other}`"))),
                     };
                 }
                 Some("restage") => {
-                    request.restage = parse_flag(&next(&mut toks, "restage")?, "restage")?;
+                    request.restage = parse_flag(next("restage")?, "restage")?;
                 }
                 Some("iterations") => {
-                    request.iterations = next(&mut toks, "iterations")?
+                    request.iterations = next("iterations")?
                         .parse()
                         .map_err(|_| bad("iterations: bad count"))?;
                 }
                 Some("verify") => {
-                    request.verify = parse_flag(&next(&mut toks, "verify")?, "verify")?;
+                    request.verify = parse_flag(next("verify")?, "verify")?;
                 }
                 Some("trace") => {
-                    capture_trace = parse_flag(&next(&mut toks, "trace")?, "trace")?;
+                    capture_trace = parse_flag(next("trace")?, "trace")?;
                 }
                 Some(other) => return Err(bad(format!("unknown header `{other}`"))),
                 None => {} // blank line between headers is fine
             }
         }
 
-        let mut machine_text = String::new();
+        // Both sections are sized up front: one allocation each.
+        let line_bytes = |l: &str| l.len() + 1;
+        let mut machine_text = String::with_capacity(
+            lines
+                .clone()
+                .take_while(|&l| l != "-- loop")
+                .map(line_bytes)
+                .sum(),
+        );
         let mut saw_loop = false;
         for line in lines.by_ref() {
             if line == "-- loop" {
@@ -521,7 +566,7 @@ impl ServiceRequest {
         if !saw_loop {
             return Err(bad("missing `-- loop` section"));
         }
-        let mut loop_text = String::new();
+        let mut loop_text = String::with_capacity(lines.clone().map(line_bytes).sum());
         for line in lines {
             loop_text.push_str(line);
             loop_text.push('\n');
@@ -575,30 +620,10 @@ impl ServiceReply {
 
     /// Render the wire text (one frame body).
     pub fn render(&self) -> String {
-        let mut s = String::new();
-        s.push_str(PROTOCOL);
-        match &self.outcome {
-            Ok(payload) => {
-                s.push_str(" reply ok\n-- artifact\n");
-                s.push_str(payload);
-                if !payload.ends_with('\n') {
-                    s.push('\n');
-                }
-            }
-            Err(message) => {
-                s.push_str(" reply bad-request\n");
-                s.push_str(message);
-                s.push('\n');
-            }
-        }
-        if let Some(trace) = &self.trace {
-            s.push_str("-- trace\n");
-            s.push_str(trace);
-            if !trace.ends_with('\n') {
-                s.push('\n');
-            }
-        }
-        s
+        render_reply(
+            self.outcome.as_deref().map_err(String::as_str),
+            self.trace.as_deref(),
+        )
     }
 
     /// Parse a wire frame body.
@@ -656,6 +681,38 @@ impl ServiceReply {
             other => Err(bad(format!("unknown reply status `{other}`"))),
         }
     }
+}
+
+/// The wire text of a reply, sized up front so rendering allocates once.
+fn render_reply(outcome: Result<&str, &str>, trace: Option<&str>) -> String {
+    const HEAD_BYTES: usize = " reply bad-request\n-- artifact\n-- trace\n".len();
+    let body = outcome.unwrap_or_else(|message| message);
+    let mut s = String::with_capacity(
+        PROTOCOL.len() + HEAD_BYTES + body.len() + 2 + trace.map_or(0, str::len),
+    );
+    s.push_str(PROTOCOL);
+    let push_line = |s: &mut String, text: &str| {
+        s.push_str(text);
+        if !text.ends_with('\n') {
+            s.push('\n');
+        }
+    };
+    match outcome {
+        Ok(payload) => {
+            s.push_str(" reply ok\n-- artifact\n");
+            push_line(&mut s, payload);
+        }
+        Err(message) => {
+            s.push_str(" reply bad-request\n");
+            s.push_str(message);
+            s.push('\n');
+        }
+    }
+    if let Some(trace) = trace {
+        s.push_str("-- trace\n");
+        push_line(&mut s, trace);
+    }
+    s
 }
 
 #[cfg(test)]
@@ -753,6 +810,56 @@ mod tests {
         assert!(exact.ii() <= heuristic.ii(), "exact II is a lower bound");
         // Distinct backends must occupy distinct cache entries.
         assert_eq!(service.stats().misses, 2);
+    }
+
+    #[test]
+    fn warm_lookups_never_wait_for_an_admission_permit() {
+        let service = CompileService::new(ServiceConfig {
+            threads: 1,
+            ..ServiceConfig::default()
+        })
+        .unwrap();
+        let g = clasp_text::parse_loop(LOOP).unwrap();
+        let m = presets::two_cluster_gp(2, 1);
+        let req = CompileRequest::default();
+        let wire = ServiceRequest::new(LOOP, machine_text()).render();
+        let quiet = Obs::disabled();
+        let artifact = service.compile_artifact(&g, &m, &req, &quiet);
+        let ii = service.ii_of(&g, &m, PipelineConfig::default());
+        let unified = service.unified_ii_of(&g, &m, SchedulerConfig::default());
+        let reply = service.respond(&wire);
+
+        // The test holds the only permit: a lookup that still queued
+        // for one would never return.
+        let permit = service.gate.acquire();
+        let service = &service;
+        let results = std::thread::scope(|s| {
+            let (tx, rx) = std::sync::mpsc::channel();
+            s.spawn(move || {
+                let warm = service.compile_artifact(&g, &m, &req, &quiet);
+                let _ = tx.send(("compile_artifact", Arc::ptr_eq(&warm, &artifact)));
+                let warm = service.ii_of(&g, &m, PipelineConfig::default());
+                let _ = tx.send(("ii_of", warm == ii));
+                let warm = service.unified_ii_of(&g, &m, SchedulerConfig::default());
+                let _ = tx.send(("unified_ii_of", warm == unified));
+                let _ = tx.send(("respond", service.respond(&wire) == reply));
+            });
+            let results: Vec<_> = (0..4)
+                .map(|_| rx.recv_timeout(std::time::Duration::from_secs(10)))
+                .collect();
+            drop(permit);
+            results
+        });
+        for (i, want) in ["compile_artifact", "ii_of", "unified_ii_of", "respond"]
+            .into_iter()
+            .enumerate()
+        {
+            assert_eq!(
+                results[i],
+                Ok((want, true)),
+                "a warm `{want}` must return the cached value without a permit"
+            );
+        }
     }
 
     #[test]

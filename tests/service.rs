@@ -4,8 +4,9 @@
 //! from a persisted tier — and one misbehaving client never takes the
 //! daemon down.
 
+use clasp::obs::Obs;
 use clasp::serve::{Client, Server};
-use clasp::{CompileService, RegisterModelKind, ServiceConfig, ServiceRequest};
+use clasp::{codec, CompileService, RegisterModelKind, ServiceConfig, ServiceRequest};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -161,4 +162,61 @@ fn a_misbehaving_client_is_isolated_and_shutdown_stays_graceful() {
         },
         "daemon must stop serving after shutdown"
     );
+}
+
+/// `machine` rendered under the display name `name`.
+fn machine_named(name: &str) -> String {
+    let mut text = String::new();
+    clasp_text::write_machine_named_into(
+        &clasp_machine::presets::two_cluster_gp(2, 1),
+        name,
+        &mut text,
+    )
+    .unwrap();
+    text
+}
+
+#[test]
+fn replies_are_a_pure_function_of_the_request() {
+    // Same-shaped machines under two names: `bar`'s reply must not
+    // depend on whether `foo` was served first.
+    let foo = ServiceRequest::new(LOOPS[0], machine_named("foo"));
+    let bar = ServiceRequest::new(LOOPS[0], machine_named("bar"));
+    let fresh = CompileService::in_memory().handle(&bar).render();
+    assert!(fresh.contains("\nmachine bar\n"), "{fresh}");
+
+    let service = CompileService::in_memory();
+    assert!(service.handle(&foo).render().contains("\nmachine foo\n"));
+    assert_eq!(
+        service.handle(&bar).render(),
+        fresh,
+        "`bar` was answered from `foo`'s entry"
+    );
+}
+
+#[test]
+fn wire_and_in_process_keys_never_collide() {
+    // The wire request carries exactly the texts the in-process key
+    // streams: the canonical loop and the name-normalized machine.
+    let g = clasp_text::parse_loop(LOOPS[0]).unwrap();
+    let machine_text = machine_named("#");
+    assert!(machine_text.starts_with("machine _\n"), "{machine_text}");
+    let machine = clasp_text::parse_machine(&machine_text).unwrap();
+    let sreq = ServiceRequest::new(clasp_text::write_loop(&g), machine_text);
+
+    let service = CompileService::in_memory();
+    let reply = service.handle(&sreq);
+    let artifact = service.compile_artifact(&g, &machine, &sreq.request, &Obs::disabled());
+    let local = clasp::compile_full(&g, &machine, &sreq.request).unwrap();
+
+    let served = reply.decode().unwrap().unwrap();
+    assert_eq!(served.ii(), local.ii());
+    let direct = artifact.as_ref().as_ref().unwrap();
+    assert_eq!(direct.ii(), local.ii());
+    assert_eq!(
+        reply.outcome.as_deref(),
+        Ok(codec::encode(&artifact, sreq.request.iterations).as_str()),
+        "the wire payload and the in-process artifact must agree"
+    );
+    assert_eq!(service.stats().misses, 2, "two key spaces, two entries");
 }

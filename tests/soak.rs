@@ -24,8 +24,15 @@ fn request(i: usize) -> ServiceRequest {
     )
 }
 
-fn wait_for_drain(server: &Server, below: usize) -> usize {
+/// Wait until the daemon has accepted `accepted` connections and its
+/// registry holds at most `below`, both under one deadline; returns the
+/// registry size. Waiting for the accepts first matters: an abrupt
+/// close can reach the listener after the registry already reads empty.
+fn wait_for_drain(server: &Server, accepted: u64, below: usize) -> usize {
     let deadline = Instant::now() + Duration::from_secs(10);
+    while server.connections_accepted() < accepted && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
+    }
     loop {
         let open = server.open_connections();
         if open <= below || Instant::now() >= deadline {
@@ -77,7 +84,7 @@ fn daemon_soaks_through_churning_clients_without_leaking() {
             i + 1
         );
     }
-    assert_eq!(wait_for_drain(&server, 0), 0, "registry did not drain");
+    assert_eq!(wait_for_drain(&server, 300, 0), 0, "registry did not drain");
     assert_eq!(server.connections_accepted(), 300);
 
     // Phase 2: dozens of concurrent clients, half leaving cleanly
@@ -106,7 +113,11 @@ fn daemon_soaks_through_churning_clients_without_leaking() {
         }
     });
     assert_eq!(divergences.load(Ordering::Relaxed), 0);
-    assert_eq!(wait_for_drain(&server, 0), 0, "registry did not drain");
+    assert_eq!(
+        wait_for_drain(&server, 300 + 24, 0),
+        0,
+        "registry did not drain"
+    );
     assert_eq!(server.connections_accepted(), 300 + 24);
     assert_eq!(server.handler_panics(), 0);
 
