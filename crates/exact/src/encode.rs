@@ -1,6 +1,7 @@
 //! Lowering one clustered modulo-scheduling instance at a fixed II into
-//! CNF, and lifting a satisfying model back into an [`Assignment`] plus
-//! [`Schedule`].
+//! CNF, decoding a satisfying model back into an [`Assignment`] plus
+//! [`Schedule`], and the reverse: pinning a given schedule's placement
+//! and timing onto the encoding's primary literals (a *lift*).
 //!
 //! # Variable schema
 //!
@@ -40,9 +41,14 @@
 //! on sparse point-to-point topologies) are not encoded: UNSAT here means
 //! "no single-hop-routed schedule", which is the exact bound for bused
 //! machines whenever chains are not competitive, and a conservative
-//! upper-bound certificate otherwise. Callers comparing against the
-//! heuristic must skip instances where the heuristic's winning assignment
-//! itself used a chain (see the oracle's chain-free gate).
+//! upper-bound certificate otherwise. A schedule that used a chain cannot
+//! be lifted ([`LiftError::CopyChain`]).
+//!
+//! # Horizon
+//!
+//! Issue cycles live in the flat window `0..H` of [`horizon`], which is a
+//! size, not a proven bound (see its docs): UNSAT at an II means "no
+//! single-hop-routed schedule inside the window".
 
 use crate::solver::{add_at_most_k, add_exactly_one, Lit, Solver};
 use clasp_core::{AssignStats, Assignment};
@@ -50,7 +56,79 @@ use clasp_ddg::{Ddg, DepEdge, NodeId, OpKind, Operation};
 use clasp_machine::{ClusterId, Interconnect, MachineSpec};
 use clasp_mrt::{ClusterMap, CopyMeta};
 use clasp_sched::{validate_schedule, Schedule};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::fmt;
+
+/// Why a witness `(Assignment, Schedule)` could not be lifted into the
+/// encoding at its II (see `lift_witness`).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum LiftError {
+    /// The witness is not a valid schedule of the loop: the assignment or
+    /// schedule validator refuses it, or a copy has no producer.
+    Invalid {
+        /// What is wrong with the witness (a validator's rendering).
+        reason: String,
+    },
+    /// The witness routes a value through a copy chain (a copy feeding a
+    /// copy); the encoding models single-hop copies only.
+    CopyChain,
+    /// A copy the encoding has no variable for: a second copy of
+    /// `producer`'s value into `cluster`, a copy into a cluster no
+    /// consumer of the value can execute on, or a point-to-point copy
+    /// over a link other than the one the encoding routes.
+    UnmodelledCopy {
+        /// The original node whose value is copied.
+        producer: NodeId,
+        /// The destination cluster of the copy.
+        cluster: ClusterId,
+    },
+    /// After least-stage normalization, working-graph node `node` issues
+    /// at `cycle`, past the encoding's flat horizon.
+    OutsideHorizon {
+        /// The node (original or copy) of the witness's working graph.
+        node: NodeId,
+        /// Its normalized issue cycle.
+        cycle: i64,
+        /// The encoding's horizon `H` (cycles `0..H` are encoded).
+        horizon: usize,
+    },
+    /// The encoding has no model that agrees with the witness: it rejects
+    /// a valid schedule at `ii`, i.e. it over-constrains.
+    Rejected {
+        /// The witness's II.
+        ii: u32,
+    },
+    /// The loop is over the node cap, or the conflict budget ran out
+    /// before the solver found a model.
+    Budget,
+}
+
+impl fmt::Display for LiftError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            LiftError::Invalid { reason } => write!(f, "witness is invalid: {reason}"),
+            LiftError::CopyChain => f.write_str("witness routes a value through a copy chain"),
+            LiftError::UnmodelledCopy { producer, cluster } => write!(
+                f,
+                "the encoding has no variable for the copy of {producer} into {cluster}"
+            ),
+            LiftError::OutsideHorizon {
+                node,
+                cycle,
+                horizon,
+            } => write!(
+                f,
+                "{node} issues at normalized cycle {cycle}, outside the horizon 0..{horizon}"
+            ),
+            LiftError::Rejected { ii } => {
+                write!(f, "the encoding rejects a valid schedule at II = {ii}")
+            }
+            LiftError::Budget => f.write_str("node cap or conflict budget reached"),
+        }
+    }
+}
+
+impl std::error::Error for LiftError {}
 
 /// Lit lists for one potential copy `(producer, destination cluster)`.
 struct CopyLits {
@@ -73,24 +151,61 @@ pub(crate) struct Encoding {
     copy_lits: BTreeMap<(NodeId, ClusterId), CopyLits>,
 }
 
-/// Flat-horizon bound: if *any* modulo schedule exists at `ii`, one
-/// exists with every issue cycle (originals and copies) inside
-/// `0..horizon(g, ii)`.
+/// The flat time window `0..horizon(g, ii)` the encoding gives every
+/// issue cycle (originals and copies): `ii` plus, per original edge,
+/// `max(latency, producer latency) + 1` cycles.
 ///
-/// Argument: shift the whole schedule so the earliest op issues in row
-/// position `< ii` (a uniform shift permutes kernel rows, preserving
-/// resource validity), then retime each node by multiples of `ii` to the
-/// pointwise-minimal solution of the dependence difference constraints.
-/// Along any simple path each original edge contributes at most
-/// `max(latency, producer latency) + 1` cycles (its direct arc, or its
-/// feed + topped-up delivery arc through a copy), so the span is bounded
-/// by `ii` plus that sum.
-fn horizon(g: &Ddg, ii: u32) -> usize {
+/// Normal form: keep every node's kernel row and lower its stage to the
+/// least solution `>= 0` of the dependence difference constraints
+/// ([`least_stage_times`]). Rows are unchanged, so the normal form is
+/// valid whenever the schedule is, and some node issues below `ii`. Every
+/// other node issues at most `ii - 1` cycles after the earliest cycle its
+/// binding predecessor allows, so a binding edge adds up to
+/// `latency + ii - 1` cycles, and a copy adds a second such arc. The sum
+/// above counts only `latency + 1` per edge, so this is a size, not a
+/// bound: five chained single-cycle ops at II 5 in rows 0, 4, 3, 2, 1
+/// need 17 cycles in normal form against a horizon of 13. UNSAT
+/// therefore proves only that no schedule fits inside the window.
+pub(crate) fn horizon(g: &Ddg, ii: u32) -> usize {
     let mut h = u64::from(ii);
     for (_, e) in g.edges() {
         h += u64::from(e.latency.max(g.op(e.src).kind.latency())) + 1;
     }
     h.max(1) as usize
+}
+
+/// Issue cycles of `wg`'s nodes (indexed by node) in the normal form of
+/// [`horizon`]: each node keeps its kernel row under `sched` and takes
+/// the least stage `>= 0` that satisfies every dependence.
+///
+/// `sched` must pass `validate_schedule` on `wg`: its cycles, shifted by
+/// whole stages, are then a solution above the least one, which bounds
+/// the raising loop. On an invalid schedule the loop may not terminate.
+pub(crate) fn least_stage_times(wg: &Ddg, sched: &Schedule) -> Vec<i64> {
+    let ii = i64::from(sched.ii());
+    let mut t: Vec<i64> = wg
+        .node_ids()
+        .map(|n| {
+            i64::from(
+                sched
+                    .kernel_row(n)
+                    .expect("validated: every node is scheduled"),
+            )
+        })
+        .collect();
+    let mut raised = true;
+    while raised {
+        raised = false;
+        for (_, e) in wg.edges() {
+            let ready = t[e.src.index()] + i64::from(e.latency) - i64::from(e.distance) * ii;
+            let dst = &mut t[e.dst.index()];
+            if *dst < ready {
+                *dst += (ready - *dst + ii - 1) / ii * ii;
+                raised = true;
+            }
+        }
+    }
+    t
 }
 
 /// Whether the fabric can carry any copy at all. When it cannot, the
@@ -445,6 +560,66 @@ pub(crate) fn encode(g: &Ddg, machine: &MachineSpec, ii: u32) -> Encoding {
 }
 
 impl Encoding {
+    /// Pin the primary literals to a witness: `C` and `T` of every
+    /// original node, `E` and `Tc` of every copy target, and `¬E` of every
+    /// (producer, cluster) pair no copy serves. `times` holds the
+    /// witness's working-graph issue cycles, all inside the horizon.
+    ///
+    /// The witness must pass `validate_assignment` and be chain-free.
+    ///
+    /// # Errors
+    ///
+    /// [`LiftError::UnmodelledCopy`] for a copy with no variable here;
+    /// [`LiftError::Invalid`] for a copy with no feed edge.
+    pub(crate) fn pin_witness(
+        &mut self,
+        machine: &MachineSpec,
+        witness: &Assignment,
+        times: &[i64],
+    ) -> Result<(), LiftError> {
+        let (wg, map) = (&witness.graph, &witness.map);
+        for (i, (clusters, cycles)) in self.cluster_lits.iter().zip(&self.time_lits).enumerate() {
+            let c = map
+                .cluster_of(NodeId(i as u32))
+                .expect("validated: every original node is assigned");
+            let &(_, cl) = clusters
+                .iter()
+                .find(|&&(cc, _)| cc == c)
+                .expect("validated: the node's cluster can execute it");
+            self.solver.add_clause(&[cl]);
+            self.solver.add_clause(&[cycles[times[i] as usize]]);
+        }
+        let mut served: BTreeSet<(NodeId, ClusterId)> = BTreeSet::new();
+        for (copy, meta) in map.copies() {
+            let Some((_, feed)) = wg.pred_edges(copy).next() else {
+                return Err(LiftError::Invalid {
+                    reason: format!("copy {copy} has no feed edge"),
+                });
+            };
+            let producer = feed.src;
+            for &d in &meta.targets {
+                let unmodelled = || LiftError::UnmodelledCopy {
+                    producer,
+                    cluster: d,
+                };
+                let lits = self.copy_lits.get(&(producer, d)).ok_or_else(unmodelled)?;
+                let routed = meta.link == machine.interconnect().link_between(meta.src, d);
+                if !routed || !served.insert((producer, d)) {
+                    return Err(unmodelled());
+                }
+                self.solver.add_clause(&[lits.exist]);
+                self.solver
+                    .add_clause(&[lits.times[times[copy.index()] as usize]]);
+            }
+        }
+        for (pair, lits) in &self.copy_lits {
+            if !served.contains(pair) {
+                self.solver.add_clause(&[!lits.exist]);
+            }
+        }
+        Ok(())
+    }
+
     /// Truth value of a stored (always-positive) literal under `model`.
     fn tv(model: &[bool], l: Lit) -> bool {
         model[l.var() as usize] != l.is_neg()

@@ -35,10 +35,10 @@ pub struct FuzzConfig {
     /// Worker threads for case checking (0 = one per hardware thread).
     /// The report is bit-identical for every value.
     pub threads: usize,
-    /// Cross-check small loops against the exact SAT backend (invariant
-    /// 9, `heuristic II >= exact II`) and collect *hard instances* —
-    /// cases where the heuristic's II strictly exceeds the proven
-    /// minimum — into [`FuzzReport::hard`].
+    /// Check small loops against the exact SAT backend (invariant 9: the
+    /// case's schedule lifts into the exact encoding) and collect *hard
+    /// instances* — cases where the heuristic's II strictly exceeds the
+    /// proven minimum — into [`FuzzReport::hard`].
     pub exact: bool,
 }
 

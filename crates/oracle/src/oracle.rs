@@ -23,6 +23,9 @@
 //!    edge's distance rides exactly the final delivery -> consumer
 //!    segment (all upstream chain segments distance 0), and the working
 //!    graph's RecMII never drops below the original loop's;
+//! 9. with [`OracleOptions::exact`], the exact encoding accepts the
+//!    schedule: a valid, chain-free schedule must lift into
+//!    `clasp-exact`'s CNF at its own II (`clasp_exact::lift_witness`);
 //! 10. per-hop link occupancy: on point-to-point fabrics every traversed
 //!     link row is claimed by at most one copy — recounted directly from
 //!     the final schedule and the copy metadata, independent of the MRT
@@ -72,10 +75,10 @@ pub struct OracleOptions {
     /// Deliberate corruption applied to the compiled case before the
     /// invariant checks (testing the oracle itself; see [`Fault`]).
     pub fault: Fault,
-    /// Cross-check the achieved II against the exact SAT backend
-    /// (`clasp-exact`) on small loops: invariant 9,
-    /// `heuristic II >= exact II`. Off by default — each check costs a
-    /// SAT solve per candidate II.
+    /// Lift the case's schedule into the exact SAT backend's encoding
+    /// (`clasp-exact`) on small loops: invariant 9. Off by default — each
+    /// check costs an encoding and a solve, and a schedule the encoding
+    /// cannot express literally costs a minimal-II search.
     pub exact: bool,
 }
 
@@ -197,17 +200,17 @@ pub enum OracleViolation {
         /// Copies claiming the link in that row.
         used: u32,
     },
-    /// The heuristic achieved an II *below* what the exact SAT backend
-    /// proved minimal — impossible for a sound exact backend, so one of
-    /// the two is wrong. Only reported when the heuristic's own routing
-    /// is chain-free (single-hop copies), since the exact encoding does
-    /// not model multi-hop copy chains and its "minimal" II is only a
-    /// bound over chain-free schedules.
-    HeuristicBeatsExact {
-        /// The heuristic's achieved II.
-        heuristic: u32,
-        /// The II the exact backend proved minimal.
-        exact: u32,
+    /// The exact SAT backend's encoding rejects a valid chain-free
+    /// schedule, so it over-constrains (or the validators under-check).
+    /// Either the schedule does not lift into the encoding at its own II
+    /// (`proven: None`), or, for a schedule the encoding cannot express
+    /// literally, the exact search proved a minimum above its II.
+    ExactRejectsSchedule {
+        /// The II the valid schedule runs at.
+        ii: u32,
+        /// The minimum the exact search proved, when the comparison
+        /// fallback convicted the encoding.
+        proven: Option<u32>,
     },
 }
 
@@ -229,7 +232,7 @@ impl OracleViolation {
             OracleViolation::RecMiiDropped { .. } => "rec-mii-dropped",
             OracleViolation::CheckPanicked { .. } => "check-panicked",
             OracleViolation::LinkOverCapacity { .. } => "link-over-capacity",
-            OracleViolation::HeuristicBeatsExact { .. } => "heuristic-beats-exact",
+            OracleViolation::ExactRejectsSchedule { .. } => "exact-rejects-schedule",
         }
     }
 }
@@ -288,9 +291,16 @@ impl fmt::Display for OracleViolation {
                 f,
                 "{used} copies claim link {link} in kernel row {row} (capacity 1)"
             ),
-            OracleViolation::HeuristicBeatsExact { heuristic, exact } => write!(
+            OracleViolation::ExactRejectsSchedule { ii, proven: None } => write!(
                 f,
-                "heuristic II {heuristic} beats the exact backend's proven minimum {exact}"
+                "the exact encoding rejects this valid schedule at its II {ii}"
+            ),
+            OracleViolation::ExactRejectsSchedule {
+                ii,
+                proven: Some(proven),
+            } => write!(
+                f,
+                "valid schedule at II {ii} beats the exact backend's proven minimum {proven}"
             ),
         }
     }
@@ -468,15 +478,6 @@ fn check_link_occupancy(
     out
 }
 
-/// Whether the working graph routes every crossing value in a single
-/// hop: no edge connects two copy nodes. The exact encoding only models
-/// single-hop routing, so its minimal II is incomparable with a
-/// heuristic schedule that leaned on copy *chains*.
-fn chain_free(wg: &Ddg) -> bool {
-    !wg.edges()
-        .any(|(_, e)| wg.op(e.src).kind.is_copy() && wg.op(e.dst).kind.is_copy())
-}
-
 /// The exact backend's resource caps as the oracle uses them: the
 /// tighter [`EXACT_ORACLE_NODE_CAP`] instead of the interactive default.
 fn exact_oracle_config() -> clasp_exact::ExactConfig {
@@ -486,13 +487,16 @@ fn exact_oracle_config() -> clasp_exact::ExactConfig {
     }
 }
 
-/// The provably minimal chain-free II of `g` on `machine`, or `None`
-/// when the instance is over the oracle's node cap, the solve blows its
-/// conflict budget, or no feasible II exists in the search range. Used
-/// both by invariant 9 and by the fuzz loop's hard-instance mining.
+/// The provably minimal chain-free II of `g` on `machine`
+/// (`clasp_exact::exact_ii`: a lifted heuristic schedule at MII, else the
+/// search), or `None` when the instance is over the oracle's node cap,
+/// the search blows its conflict budget, or no feasible II exists in the
+/// search range. Used by invariant 9's comparison fallback, the fuzz
+/// loop's hard-instance mining and the gap tables.
 pub fn exact_minimal_ii(g: &Ddg, machine: &MachineSpec) -> Option<u32> {
     clasp_exact::exact_ii(g, machine, exact_oracle_config()).ok()
 }
+
 /// `None` when equal, otherwise a description of the first divergence.
 fn diff_streams(got: &[StoreEvent], expected: &[StoreEvent]) -> Option<String> {
     if got.len() != expected.len() {
@@ -594,19 +598,29 @@ pub fn check_case(
         }
     }
 
-    // Invariant 9 — optimality oracle: the exact SAT backend's proven
-    // minimal II lower-bounds any valid heuristic schedule that the
-    // encoding can express (chain-free routing). Skipped when the solve
-    // is refused or blows its budget (`exact_minimal_ii` -> None): an
-    // unproved bound convicts nobody.
-    if opts.exact && assignment_ok && schedule_ok && chain_free(wg) {
-        if let Some(exact) = exact_minimal_ii(g, machine) {
-            if ii < exact {
-                violations.push(OracleViolation::HeuristicBeatsExact {
-                    heuristic: ii,
-                    exact,
-                });
+    // Invariant 9 — the exact encoding accepts every valid schedule it
+    // can express: the case's own schedule must lift into it at its own
+    // II. A schedule it cannot express literally (a second copy of one
+    // value into a cluster, an unrouted link, a normalized cycle past the
+    // horizon) falls back to comparing the II with the exact search's
+    // proven minimum. Copy chains are outside the single-hop encoding,
+    // and a refused or budget-blown lift convicts nobody.
+    if opts.exact && assignment_ok && schedule_ok {
+        use clasp_exact::LiftError;
+        let config = exact_oracle_config();
+        match clasp_exact::lift_witness(g, machine, &case.assignment, sched, config) {
+            Err(LiftError::Rejected { ii }) => {
+                violations.push(OracleViolation::ExactRejectsSchedule { ii, proven: None });
             }
+            Err(LiftError::UnmodelledCopy { .. } | LiftError::OutsideHorizon { .. }) => {
+                if let Some(proven) = exact_minimal_ii(g, machine).filter(|&e| ii < e) {
+                    violations.push(OracleViolation::ExactRejectsSchedule {
+                        ii,
+                        proven: Some(proven),
+                    });
+                }
+            }
+            Ok(()) | Err(LiftError::CopyChain | LiftError::Invalid { .. } | LiftError::Budget) => {}
         }
     }
 

@@ -10,7 +10,8 @@ use clasp::oracle_pipeline;
 use clasp_ddg::{Ddg, OpKind};
 use clasp_machine::presets;
 use clasp_oracle::{
-    check_case, run_fuzz, run_fuzz_with_repros, shrink_case, Fault, FuzzConfig, OracleOptions,
+    check_case, generate_case, run_fuzz, run_fuzz_with_repros, shrink_case, CompiledCase, Fault,
+    FuzzConfig, OracleOptions, EXACT_ORACLE_NODE_CAP,
 };
 use clasp_text::{parse_loop, parse_machine, write_loop, write_machine};
 
@@ -412,4 +413,68 @@ fn smear_fault_is_detected() {
             .any(|v| v.kind() == "carried-distance-split"),
         "smeared distance must trip the carried-distance invariant: {violations:?}"
     );
+}
+
+/// Invariant 9 on the seed-0 stream's small cases: every valid,
+/// chain-free schedule lifts into the exact encoding at its own II.
+#[test]
+fn small_seed_zero_cases_pass_the_exact_invariant() {
+    let opts = OracleOptions {
+        exact: true,
+        ..OracleOptions::default()
+    };
+    let mut checked = 0usize;
+    for index in 0..60 {
+        let case = generate_case(0, index);
+        if case.graph.node_count() > EXACT_ORACLE_NODE_CAP {
+            continue;
+        }
+        let violations = check_case(&case.graph, &case.machine, &oracle_pipeline, &opts);
+        assert!(violations.is_empty(), "case {index}: {violations:?}");
+        checked += 1;
+    }
+    assert!(checked >= 20, "only {checked} small cases in the slice");
+}
+
+/// Five chained single-cycle ops on a one-wide machine at II 5, issued in
+/// rows 0, 4, 3, 2, 1: a valid schedule that needs 17 cycles, past the
+/// exact encoding's 13-cycle horizon. Invariant 9 cannot lift it, falls
+/// back to comparing II 5 with the proven minimum (also 5), and passes.
+#[test]
+fn a_schedule_past_the_exact_horizon_takes_the_comparison_fallback() {
+    use clasp_exact::{lift_witness, ExactConfig, LiftError};
+    use clasp_sched::Schedule;
+
+    let mut g = Ddg::new("chain5");
+    let ids: Vec<clasp_ddg::NodeId> = (0..5).map(|_| g.add(OpKind::IntAlu)).collect();
+    for w in ids.windows(2) {
+        g.add_dep(w[0], w[1]);
+    }
+    let m = presets::unified_gp(1);
+    let case = CompiledCase {
+        assignment: clasp_core::Assignment {
+            graph: g.clone(),
+            map: clasp_sched::unified_map(&g, &m),
+            ii: 5,
+            stats: clasp_core::AssignStats::default(),
+        },
+        schedule: Schedule::new(5, ids.into_iter().zip([0, 4, 8, 12, 16]).collect()),
+    };
+    assert!(matches!(
+        lift_witness(
+            &g,
+            &m,
+            &case.assignment,
+            &case.schedule,
+            ExactConfig::default()
+        ),
+        Err(LiftError::OutsideHorizon { .. })
+    ));
+    let pipeline = |_: &Ddg, _: &clasp_machine::MachineSpec| Ok(case.clone());
+    let opts = OracleOptions {
+        exact: true,
+        ..OracleOptions::default()
+    };
+    let violations = check_case(&g, &m, &pipeline, &opts);
+    assert!(violations.is_empty(), "{violations:?}");
 }
