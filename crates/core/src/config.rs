@@ -75,7 +75,7 @@ pub struct AssignConfig {
     /// the budget bumps II.
     pub budget_factor: u32,
     /// Hard cap on the II search; `None` derives a generous bound from the
-    /// graph (see `clasp_sched::max_ii_bound`).
+    /// graph (see `clasp_ddg::max_ii_bound`).
     pub max_ii: Option<u32>,
 }
 

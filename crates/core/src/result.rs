@@ -103,7 +103,7 @@ pub(crate) fn materialize_into(
             id,
             CopyMeta {
                 src: rec.src,
-                targets: rec.targets.clone(),
+                targets: rec.targets.as_slice().to_vec(),
                 link: rec.link,
             },
         );

@@ -11,7 +11,8 @@
 //! - [`Ddg`]: the loop-body data-dependence graph with loop-carried
 //!   dependence distances;
 //! - [`find_sccs`]: recurrence (strongly-connected-component) analysis;
-//! - [`rec_mii`]: the recurrence-constrained minimum initiation interval;
+//! - [`rec_mii`]: the recurrence-constrained minimum initiation interval,
+//!   and [`max_ii_bound`], the II ceiling every II search shares;
 //! - [`swing_order`]: the SMS node-ordering heuristic used by both the
 //!   cluster assigner and the modulo scheduler.
 //!
@@ -44,7 +45,7 @@ mod scc;
 
 pub use analysis::{AdjEdge, LoopAnalysis};
 pub use graph::{Ddg, DepEdge, EdgeId, GraphError, NodeId, Operation};
-pub use mii::{rec_mii, rec_mii_bruteforce, rec_mii_with, scc_rec_mii};
+pub use mii::{max_ii_bound, rec_mii, rec_mii_bruteforce, rec_mii_with, scc_rec_mii};
 pub use op::{FuClass, OpKind};
 pub use order::{
     bottom_up_order, depth_height, priority_sets, swing_order, swing_order_flat, swing_order_with,

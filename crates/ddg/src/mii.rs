@@ -117,6 +117,29 @@ fn has_positive_cycle(n: usize, edges: &[(usize, usize, i64, i64)], ii: i64) -> 
     false
 }
 
+/// An upper bound on the II search, from the sequential-schedule argument:
+/// issuing the nodes one after another, each `max(1, max outgoing
+/// latency)` cycles after the previous one, satisfies every dependence
+/// (including loop-carried ones) once II reaches that total length, and
+/// uses each resource instance at most once per row. So `MII + Σ_v max(1,
+/// max outgoing latency of v)` always admits a schedule.
+///
+/// (The seed used `MII + Σ all edge latencies + node count`, which this
+/// bound never exceeds; a tighter cap means exhaustion fails faster.)
+pub fn max_ii_bound(g: &Ddg, mii: u32) -> u32 {
+    let seq: u32 = g
+        .node_ids()
+        .map(|v| {
+            g.succ_edges(v)
+                .map(|(_, e)| e.latency)
+                .max()
+                .unwrap_or(0)
+                .max(1)
+        })
+        .sum();
+    mii.saturating_add(seq).max(mii.saturating_add(1))
+}
+
 /// Brute-force RecMII by enumerating all elementary cycles (Johnson-style
 /// DFS). Exponential; only suitable for small graphs. Used to validate
 /// [`rec_mii`] in tests.
@@ -171,6 +194,29 @@ pub fn rec_mii_bruteforce(g: &Ddg) -> u32 {
 mod tests {
     use super::*;
     use crate::op::OpKind;
+
+    #[test]
+    fn max_ii_bound_is_tighter_than_seed_formula() {
+        let mut g = Ddg::new("chain");
+        let a = g.add(OpKind::Load); // lat 2
+        let b = g.add(OpKind::FpMult); // lat 3
+        let c = g.add(OpKind::FpDiv); // lat 8
+        let d = g.add(OpKind::Store);
+        g.add_dep(a, b);
+        g.add_dep(b, c);
+        g.add_dep(c, d);
+        // Sequential-length bound: 2 + 3 + 9 + 1 = 15, plus mii 1 = 16.
+        assert_eq!(max_ii_bound(&g, 1), 16);
+        // Seed formula was mii + total latency + node count = 1 + 14 + 4.
+        let seed = 1 + 14 + 4;
+        assert!(max_ii_bound(&g, 1) <= seed);
+    }
+
+    #[test]
+    fn max_ii_bound_always_exceeds_mii() {
+        let g = Ddg::new("empty");
+        assert_eq!(max_ii_bound(&g, 7), 8);
+    }
 
     #[test]
     fn no_recurrence_gives_one() {

@@ -31,5 +31,5 @@ mod machine;
 pub mod presets;
 
 pub use cluster::{ClusterId, ClusterSpec};
-pub use interconnect::{Adjacency, Interconnect, Link, LinkId, RouteError};
+pub use interconnect::{Interconnect, Link, LinkId, RouteError, RouteTable};
 pub use machine::MachineSpec;

@@ -7,7 +7,7 @@
 //! per point-to-point link. Reservations are keyed by node id so the
 //! iterative assigner can release them when it removes a node (§4.3).
 
-use crate::map::CopyMeta;
+use crate::map::{CopyMeta, CopyTargets};
 use clasp_ddg::{FuClass, NodeId, OpKind};
 use clasp_machine::{ClusterId, Interconnect, LinkId, MachineSpec};
 
@@ -31,7 +31,7 @@ enum Reservation {
     },
     Copy {
         src: ClusterId,
-        targets: Vec<ClusterId>,
+        targets: CopyTargets,
         link: Option<LinkId>,
     },
 }
@@ -83,15 +83,13 @@ struct ClusterCounts {
 #[derive(Debug, Clone)]
 pub struct CountMrt<'m> {
     ii: u32,
-    /// Borrowed, not owned: the assigner clones this table on every
-    /// tentative placement, and a deep `MachineSpec` copy per tentative
-    /// dominated the assignment profile.
+    /// Borrowed, not owned: a table is built per assigner workspace, and
+    /// the machine outlives every one of them.
     machine: &'m MachineSpec,
     clusters: Vec<ClusterCounts>,
     bus_used: u32,
     link_used: Vec<u32>,
-    /// Dense, indexed by node id (original nodes and copy ids alike), so
-    /// the per-tentative clone is a flat copy rather than a hash rebuild.
+    /// Dense, indexed by node id (original nodes and copy ids alike).
     reservations: Vec<Option<Reservation>>,
     reserved: usize,
     /// Undo log of every mutation since the last [`CountMrt::commit`];
@@ -170,7 +168,7 @@ impl<'m> CountMrt<'m> {
                         .expect("journaled copy present");
                     match r {
                         Reservation::Copy { targets, .. } => {
-                            let t = targets.pop().expect("journaled target present");
+                            let t = targets.remove(targets.len() - 1);
                             self.clusters[t.index()].write_used -= 1;
                         }
                         Reservation::Op { .. } => unreachable!("journaled node is a copy"),
@@ -205,7 +203,7 @@ impl<'m> CountMrt<'m> {
             }
             Reservation::Copy { src, targets, link } => {
                 self.clusters[src.index()].read_used += 1;
-                for t in targets {
+                for t in targets.as_slice() {
                     self.clusters[t.index()].write_used += 1;
                 }
                 match link {
@@ -232,7 +230,7 @@ impl<'m> CountMrt<'m> {
             }
             Some(Reservation::Copy { src, targets, link }) => {
                 self.clusters[src.index()].read_used -= 1;
-                for t in targets {
+                for t in targets.as_slice() {
                     self.clusters[t.index()].write_used -= 1;
                 }
                 match link {
@@ -404,7 +402,8 @@ impl<'m> CountMrt<'m> {
 
     /// Reserve a copy for `node`: one read port on `src`, one write port on
     /// each target, and one bus slot (`link == None`) or one slot on
-    /// `link`.
+    /// `link`. A single target is held inline, so reserving a
+    /// point-to-point hop never allocates.
     ///
     /// # Errors
     ///
@@ -438,14 +437,11 @@ impl<'m> CountMrt<'m> {
             Some(l) => self.link_used[l.index()] += 1,
             None => self.bus_used += 1,
         }
-        self.set_reservation(
-            node,
-            Reservation::Copy {
-                src,
-                targets: targets.to_vec(),
-                link,
-            },
-        );
+        let targets = match targets {
+            [t] => CopyTargets::One(*t),
+            _ => CopyTargets::Many(targets.to_vec()),
+        };
+        self.set_reservation(node, Reservation::Copy { src, targets, link });
         self.journal.push(CountUndo::Reserved(node));
         Ok(())
     }
@@ -476,7 +472,10 @@ impl<'m> CountMrt<'m> {
             Reservation::Copy { src, targets, link } => {
                 assert!(link.is_none(), "p2p copies cannot broadcast");
                 assert!(*src != target, "copy target equals source");
-                assert!(!targets.contains(&target), "target already present");
+                assert!(
+                    !targets.as_slice().contains(&target),
+                    "target already present"
+                );
                 targets.push(target);
             }
             Reservation::Op { .. } => panic!("{node} is not a copy"),
@@ -502,6 +501,7 @@ impl<'m> CountMrt<'m> {
         let pos = match r {
             Reservation::Copy { targets, .. } => {
                 let pos = targets
+                    .as_slice()
                     .iter()
                     .position(|&t| t == target)
                     .expect("target not present");
@@ -533,7 +533,7 @@ impl<'m> CountMrt<'m> {
         match self.reservation(node) {
             Some(Reservation::Copy { src, targets, link }) => Some(CopyMeta {
                 src: *src,
-                targets: targets.clone(),
+                targets: targets.as_slice().to_vec(),
                 link: *link,
             }),
             _ => None,

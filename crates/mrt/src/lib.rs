@@ -23,5 +23,5 @@ mod map;
 mod table;
 
 pub use count::{CountMark, CountMrt, Full};
-pub use map::{ClusterMap, CopyMeta};
+pub use map::{ClusterMap, CopyMeta, CopyTargets};
 pub use table::{Conflict, PlaceOutcome, SlotRequest, TimeMrt};

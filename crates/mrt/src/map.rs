@@ -22,6 +22,82 @@ pub struct CopyMeta {
     pub link: Option<LinkId>,
 }
 
+/// The destination clusters of one live copy during assignment.
+///
+/// A copy starts with its single target held inline, so reserving one
+/// never allocates; point-to-point copies always have exactly one. A
+/// broadcast copy that gains a second target becomes a list, which keeps
+/// insertion order ([`CopyMeta::targets`] and everything encoded from it
+/// depend on that order) and keeps its capacity when it shrinks again.
+#[derive(Debug, Clone, Eq)]
+pub enum CopyTargets {
+    /// Exactly one target, inline.
+    One(ClusterId),
+    /// A broadcast copy's targets in insertion order.
+    Many(Vec<ClusterId>),
+}
+
+impl CopyTargets {
+    /// The targets in insertion order.
+    pub fn as_slice(&self) -> &[ClusterId] {
+        match self {
+            CopyTargets::One(t) => std::slice::from_ref(t),
+            CopyTargets::Many(ts) => ts,
+        }
+    }
+
+    /// Number of targets.
+    pub fn len(&self) -> usize {
+        self.as_slice().len()
+    }
+
+    /// Whether there are no targets (never true of a reserved copy).
+    pub fn is_empty(&self) -> bool {
+        self.as_slice().is_empty()
+    }
+
+    /// Append `t`, turning a single inline target into a list.
+    pub fn push(&mut self, t: ClusterId) {
+        match self {
+            CopyTargets::One(first) => *self = CopyTargets::Many(vec![*first, t]),
+            CopyTargets::Many(ts) => ts.push(t),
+        }
+    }
+
+    /// Remove and return the target at `pos`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pos` is out of range or this is the last target.
+    pub fn remove(&mut self, pos: usize) -> ClusterId {
+        match self {
+            CopyTargets::One(_) => panic!("cannot remove a copy's last target"),
+            CopyTargets::Many(ts) => {
+                assert!(ts.len() > 1, "cannot remove a copy's last target");
+                ts.remove(pos)
+            }
+        }
+    }
+
+    /// Insert `t` at `pos` (the inverse of [`CopyTargets::remove`]).
+    pub fn insert(&mut self, pos: usize, t: ClusterId) {
+        match self {
+            CopyTargets::One(first) => {
+                let mut ts = vec![*first];
+                ts.insert(pos, t);
+                *self = CopyTargets::Many(ts);
+            }
+            CopyTargets::Many(ts) => ts.insert(pos, t),
+        }
+    }
+}
+
+impl PartialEq for CopyTargets {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
 /// Cluster assignment of every node of a working graph.
 ///
 /// # Examples
@@ -36,10 +112,10 @@ pub struct CopyMeta {
 /// assert_eq!(map.cluster_of(NodeId(0)), Some(ClusterId(1)));
 /// assert_eq!(map.cluster_of(NodeId(9)), None);
 /// ```
-/// Dense storage: both tables are indexed by `NodeId` so that cloning —
-/// which the assigner does on every tentative placement — is a flat
-/// buffer copy instead of a tree walk. Iteration stays in ascending node
-/// order, matching the previous `BTreeMap` representation exactly.
+/// Dense storage: both tables are indexed by `NodeId`, so lookups and
+/// clears are flat buffer operations and a cleared map refills without
+/// touching the allocator. Iteration stays in ascending node order,
+/// matching the previous `BTreeMap` representation exactly.
 #[derive(Debug, Clone, Default, Eq)]
 pub struct ClusterMap {
     cluster_of: Vec<Option<ClusterId>>,

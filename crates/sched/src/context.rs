@@ -346,8 +346,9 @@ impl<'a> SchedContext<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::iterative::{iterative_schedule, max_ii_bound};
+    use crate::iterative::iterative_schedule;
     use crate::schedule::{unified_map, validate_schedule};
+    use clasp_ddg::max_ii_bound;
     use clasp_ddg::OpKind;
     use clasp_machine::presets;
 

@@ -14,7 +14,7 @@
 use crate::context::SchedContext;
 use crate::failure::SchedFailure;
 use crate::schedule::{unified_map, Schedule};
-use clasp_ddg::Ddg;
+use clasp_ddg::{max_ii_bound, Ddg};
 use clasp_machine::MachineSpec;
 use clasp_mrt::ClusterMap;
 
@@ -121,29 +121,6 @@ pub fn schedule_unified(
     }
     let max_ii = max_ii_bound(g, mii);
     schedule_in_range(g, machine, &map, mii, max_ii, config)
-}
-
-/// An upper bound on the II search, from the sequential-schedule argument:
-/// issuing the nodes one after another, each `max(1, max outgoing
-/// latency)` cycles after the previous one, satisfies every dependence
-/// (including loop-carried ones) once II reaches that total length, and
-/// uses each resource instance at most once per row. So `MII + Σ_v max(1,
-/// max outgoing latency of v)` always admits a schedule.
-///
-/// (The seed used `MII + Σ all edge latencies + node count`, which this
-/// bound never exceeds; a tighter cap means exhaustion fails faster.)
-pub fn max_ii_bound(g: &Ddg, mii: u32) -> u32 {
-    let seq: u32 = g
-        .node_ids()
-        .map(|v| {
-            g.succ_edges(v)
-                .map(|(_, e)| e.latency)
-                .max()
-                .unwrap_or(0)
-                .max(1)
-        })
-        .sum();
-    mii.saturating_add(seq).max(mii.saturating_add(1))
 }
 
 #[cfg(test)]
@@ -359,29 +336,6 @@ mod tests {
         let map = unified_map(&g, &m);
         assert_eq!(validate_schedule(&g, &m, &map, &s), Ok(()));
         assert_eq!(s.ii(), 2); // i1/i2 recurrence: 1+1 over 1
-    }
-
-    #[test]
-    fn max_ii_bound_is_tighter_than_seed_formula() {
-        let mut g = Ddg::new("chain");
-        let a = g.add(OpKind::Load); // lat 2
-        let b = g.add(OpKind::FpMult); // lat 3
-        let c = g.add(OpKind::FpDiv); // lat 8
-        let d = g.add(OpKind::Store);
-        g.add_dep(a, b);
-        g.add_dep(b, c);
-        g.add_dep(c, d);
-        // Sequential-length bound: 2 + 3 + 9 + 1 = 15, plus mii 1 = 16.
-        assert_eq!(max_ii_bound(&g, 1), 16);
-        // Seed formula was mii + total latency + node count = 1 + 14 + 4.
-        let seed = 1 + 14 + 4;
-        assert!(max_ii_bound(&g, 1) <= seed);
-    }
-
-    #[test]
-    fn max_ii_bound_always_exceeds_mii() {
-        let g = Ddg::new("empty");
-        assert_eq!(max_ii_bound(&g, 7), 8);
     }
 
     #[test]

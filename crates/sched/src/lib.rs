@@ -44,11 +44,10 @@ mod schedule;
 mod stats;
 mod swing;
 
+pub use clasp_ddg::max_ii_bound;
 pub use context::SchedContext;
 pub use failure::SchedFailure;
-pub use iterative::{
-    iterative_schedule, max_ii_bound, schedule_in_range, schedule_unified, SchedulerConfig,
-};
+pub use iterative::{iterative_schedule, schedule_in_range, schedule_unified, SchedulerConfig};
 pub use schedule::{slot_request, unified_map, validate_schedule, Schedule, ScheduleError};
 pub use stats::{AttemptStats, CONFLICT_CLASSES};
 pub use swing::{schedule_with, schedule_with_stats, swing_schedule, SchedulerKind};
