@@ -11,6 +11,9 @@ use clasp_kernel::{emit_program_with, RegisterModel};
 use clasp_loopgen::{all_classics, generate_corpus, CorpusConfig};
 use clasp_machine::{presets, ClusterSpec, Interconnect, MachineSpec};
 
+mod common;
+use common::bench_corpus;
+
 /// A small, reproducible slice of the figures corpus plus the classic
 /// kernels: enough shape variety (recurrences, wide loops, FP chains) to
 /// exercise every driver stage.
@@ -82,35 +85,43 @@ fn report_trajectory_is_monotone_and_ends_at_achieved_ii() {
     }
 }
 
+/// The sequence the driver replaced in the CLI and experiments:
+/// compile_loop, then register model, then emission. With restaging off
+/// the driver must reproduce it exactly.
+fn assert_driver_matches_glue(g: &Ddg, machine: &MachineSpec, iterations: i64) {
+    let req = CompileRequest {
+        restage: false,
+        iterations,
+        ..CompileRequest::default()
+    };
+    let artifact = compile_full(g, machine, &req).expect("driver");
+    let compiled = compile_loop(g, machine, req.pipeline).expect("glue");
+    assert_eq!(artifact.ii(), compiled.ii(), "{}: II diverged", g.name());
+    let model = RegisterModel::mve(&compiled.assignment.graph, &compiled.schedule);
+    let program = emit_program_with(
+        &compiled.assignment.graph,
+        &compiled.assignment.map,
+        &compiled.schedule,
+        iterations,
+        &model,
+    );
+    assert_eq!(
+        artifact.program,
+        program,
+        "{}: emitted kernel diverged",
+        g.name()
+    );
+}
+
 #[test]
 fn driver_output_is_bit_identical_to_hand_composed_stages() {
-    // The sequences the driver replaced in the CLI and experiments:
-    // compile_loop, then register model, then emission. With restaging
-    // off the driver must reproduce them exactly.
-    let machine = presets::two_cluster_gp(2, 1);
+    let two_cluster = presets::two_cluster_gp(2, 1);
     for g in sample() {
-        let req = CompileRequest {
-            restage: false,
-            iterations: 8,
-            ..CompileRequest::default()
-        };
-        let artifact = compile_full(&g, &machine, &req).expect("driver");
-        let compiled = compile_loop(&g, &machine, req.pipeline).expect("glue");
-        assert_eq!(artifact.ii(), compiled.ii(), "{}: II diverged", g.name());
-        let model = RegisterModel::mve(&compiled.assignment.graph, &compiled.schedule);
-        let program = emit_program_with(
-            &compiled.assignment.graph,
-            &compiled.assignment.map,
-            &compiled.schedule,
-            8,
-            &model,
-        );
-        assert_eq!(
-            artifact.program,
-            program,
-            "{}: emitted kernel diverged",
-            g.name()
-        );
+        assert_driver_matches_glue(&g, &two_cluster, 8);
+    }
+    let four_cluster = presets::four_cluster_gp(4, 2);
+    for g in bench_corpus() {
+        assert_driver_matches_glue(&g, &four_cluster, 16);
     }
 }
 

@@ -12,21 +12,12 @@ use clasp::{compile_loop, oracle_pipeline, PipelineConfig};
 use clasp_core::{assign_from, assign_traced, AssignError, Assigner, Assignment};
 use clasp_ddg::Ddg;
 use clasp_kernel::emit_program;
-use clasp_loopgen::{generate_corpus, CorpusConfig};
 use clasp_machine::{presets, MachineSpec};
 use clasp_oracle::{generate_case, run_fuzz, FuzzConfig};
 use clasp_sched::{schedule_with_stats, Schedule};
 
-/// The bench corpus (same shape and seed as `bench-report` and the
-/// committed `BENCH_sched.json`).
-fn bench_corpus() -> Vec<Ddg> {
-    const LOOPS: usize = 150;
-    generate_corpus(CorpusConfig {
-        loops: LOOPS,
-        scc_loops: (LOOPS * 301).div_ceil(1327),
-        seed: 0x1998_C1A5,
-    })
-}
+mod common;
+use common::bench_corpus;
 
 /// Structural equality for working graphs. `Ddg` deliberately has no
 /// `PartialEq` (its adjacency buffers may carry reusable slack after an

@@ -6,9 +6,15 @@
 
 use clasp::obs::Obs;
 use clasp::serve::{Client, Server};
-use clasp::{codec, CompileService, RegisterModelKind, ServiceConfig, ServiceRequest};
+use clasp::{
+    codec, compile_full, CompileRequest, CompileService, RegisterModelKind, ServiceConfig,
+    ServiceReply, ServiceRequest,
+};
 use std::path::PathBuf;
 use std::sync::Arc;
+
+mod common;
+use common::bench_corpus;
 
 const LOOPS: [&str; 3] = [
     "loop dot\n\nop n0 load\nop n1 load\nop n2 fmul\nop n3 fadd\n\ndep n0 -> n2\ndep n1 -> n2\ndep n2 -> n3\ndep n3 -> n3 @1\n",
@@ -219,4 +225,50 @@ fn wire_and_in_process_keys_never_collide() {
         "the wire payload and the in-process artifact must agree"
     );
     assert_eq!(service.stats().misses, 2, "two key spaces, two entries");
+}
+
+#[test]
+fn daemon_replies_equal_in_process_replies_on_the_bench_corpus() {
+    // The daemon adds transport, never behavior: for every bench-corpus
+    // loop its reply bytes equal the in-process service's on the same
+    // wire text, and the served II is the direct compile's. Artifacts
+    // are compared by II only: the wire carries the loop as `.clasp`
+    // text, which canonicalizes the node labels the generator leaves
+    // empty.
+    let machine = clasp_machine::presets::four_cluster_gp(4, 2);
+    let machine_text = clasp_text::write_machine(&machine);
+    let request = CompileRequest {
+        restage: false,
+        verify: false,
+        iterations: 16,
+        ..CompileRequest::default()
+    };
+    let server = Server::start("127.0.0.1:0", Arc::new(CompileService::in_memory())).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let in_process = CompileService::in_memory();
+    for g in bench_corpus() {
+        let mut sreq = ServiceRequest::new(clasp_text::write_loop(&g), machine_text.clone());
+        sreq.request = request;
+        let wire = sreq.render();
+        let reply = client.roundtrip(&wire).unwrap();
+        assert_eq!(
+            reply,
+            in_process.respond(&wire),
+            "{}: daemon reply diverged from the in-process service",
+            g.name()
+        );
+        let served = ServiceReply::parse(&reply)
+            .expect("healthy reply")
+            .decode()
+            .expect("artifact payload");
+        let direct = compile_full(&g, &machine, &request);
+        assert_eq!(
+            served.as_ref().ok().map(|a| a.ii()),
+            direct.as_ref().ok().map(|a| a.ii()),
+            "{}: served II diverged from the direct compile",
+            g.name()
+        );
+    }
+    drop(client);
+    server.shutdown().unwrap();
 }
