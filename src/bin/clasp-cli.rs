@@ -1028,6 +1028,13 @@ fn load(args: &[String]) -> Result<bool, String> {
         i += 1;
     }
 
+    // Read the baseline before the run: `--json` may name the same file
+    // and overwrite it with this run's numbers.
+    let committed = gate
+        .as_deref()
+        .map(|path| std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}")))
+        .transpose()?;
+
     let obs = if trace_json.is_some() {
         Obs::enabled()
     } else {
@@ -1070,12 +1077,10 @@ fn load(args: &[String]) -> Result<bool, String> {
             ok = false;
         }
     }
-    if let Some(gate_path) = &gate {
-        let committed =
-            std::fs::read_to_string(gate_path).map_err(|e| format!("{gate_path}: {e}"))?;
+    if let Some(committed) = &committed {
         for cell in &suite.cells {
             let p99 = cell.report.overall.percentile(0.99);
-            match committed_cell_field(&committed, &cell.name, "p99_ns") {
+            match committed_cell_field(committed, &cell.name, "p99_ns") {
                 Some(base) if base > 0 => {
                     // Committed baseline clamped up to the noise floor:
                     // µs-scale hot-cell p99s are hiccup-dominated, so a
