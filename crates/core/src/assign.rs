@@ -256,30 +256,7 @@ pub fn assign_from(
     config: AssignConfig,
     min_ii: u32,
 ) -> Result<Assignment, AssignError> {
-    assign_impl(g, machine, config, min_ii, None, &mut Sink(None))
-}
-
-/// As [`assign_from`], reusing a precomputed [`LoopAnalysis`] of `g`
-/// instead of re-running SCC detection and the swing ordering. The
-/// pipeline computes the analysis once per source loop and passes it to
-/// every II escalation.
-///
-/// `analysis` must have been computed from exactly this `g` (it is a pure
-/// function of the graph; any mutation invalidates it). With a
-/// non-default [`AssignConfig::ordering`] the cached order does not apply
-/// and is recomputed, but the SCC decomposition is still reused.
-///
-/// # Errors
-///
-/// See [`AssignError`].
-pub fn assign_with_analysis(
-    g: &Ddg,
-    machine: &MachineSpec,
-    config: AssignConfig,
-    min_ii: u32,
-    analysis: &LoopAnalysis,
-) -> Result<Assignment, AssignError> {
-    assign_impl(g, machine, config, min_ii, Some(analysis), &mut Sink(None))
+    assign_impl(g, machine, config, min_ii, &mut Sink(None))
 }
 
 /// As [`assign_from`], additionally returning the full decision log —
@@ -292,37 +269,7 @@ pub fn assign_traced(
     min_ii: u32,
 ) -> (Result<Assignment, AssignError>, AssignTrace) {
     let mut trace = AssignTrace::default();
-    let result = assign_impl(
-        g,
-        machine,
-        config,
-        min_ii,
-        None,
-        &mut Sink(Some(&mut trace)),
-    );
-    (result, trace)
-}
-
-/// [`assign_traced`] with a caller-held [`LoopAnalysis`] (see
-/// [`assign_with_analysis`] for the reuse contract) — the variant the
-/// pipeline's observed escalation uses, so tracing never forfeits the
-/// analysis amortization.
-pub fn assign_traced_with_analysis(
-    g: &Ddg,
-    machine: &MachineSpec,
-    config: AssignConfig,
-    min_ii: u32,
-    analysis: &LoopAnalysis,
-) -> (Result<Assignment, AssignError>, AssignTrace) {
-    let mut trace = AssignTrace::default();
-    let result = assign_impl(
-        g,
-        machine,
-        config,
-        min_ii,
-        Some(analysis),
-        &mut Sink(Some(&mut trace)),
-    );
+    let result = assign_impl(g, machine, config, min_ii, &mut Sink(Some(&mut trace)));
     (result, trace)
 }
 
@@ -331,11 +278,9 @@ fn assign_impl(
     machine: &MachineSpec,
     config: AssignConfig,
     min_ii: u32,
-    analysis: Option<&LoopAnalysis>,
     sink: &mut Sink<'_>,
 ) -> Result<Assignment, AssignError> {
-    let mut assigner = Assigner::build(g, machine, config, analysis)?;
-    assigner.assign_min_with(min_ii, sink)
+    Assigner::new(g, machine, config)?.assign_min_with(min_ii, sink)
 }
 
 /// A reusable assignment workspace for one loop.
@@ -385,7 +330,15 @@ impl<'g> Assigner<'g> {
     }
 
     /// As [`Assigner::new`], reusing a precomputed [`LoopAnalysis`] of
-    /// `g` (see [`assign_with_analysis`] for the reuse contract).
+    /// `g` instead of re-running SCC detection and the swing ordering.
+    /// The pipeline computes the analysis once per source loop and
+    /// carries one workspace across every II escalation.
+    ///
+    /// `analysis` must have been computed from exactly this `g` (it is a
+    /// pure function of the graph; any mutation invalidates it). With a
+    /// non-default [`AssignConfig::ordering`] the cached order does not
+    /// apply and is recomputed, but the SCC decomposition is still
+    /// reused.
     ///
     /// # Errors
     ///

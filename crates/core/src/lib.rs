@@ -48,10 +48,7 @@ mod result;
 mod state;
 mod trace;
 
-pub use assign::{
-    assign, assign_from, assign_traced, assign_traced_with_analysis, assign_with_analysis,
-    AssignError, AssignFailure, Assigner,
-};
+pub use assign::{assign, assign_from, assign_traced, AssignError, AssignFailure, Assigner};
 pub use config::{AssignConfig, Ordering, Variant};
 pub use copies::{CopyManager, CopyRecord};
 pub use post::{post_scheduling_assign, post_scheduling_assign_from};

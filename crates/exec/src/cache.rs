@@ -36,13 +36,13 @@
 //! even when many threads race to a cold key: latecomers block on the
 //! entry's [`OnceLock`] rather than recomputing. Total hits and misses
 //! for a fixed workload are therefore independent of thread count and
-//! interleaving, which is what lets `BENCH_sched.json` and the CI
-//! determinism gate record them as stable numbers.
+//! interleaving, which is what lets `results/strata-kernels.txt` and the
+//! CI determinism gate record them as stable numbers.
 //!
 //! # Bounding
 //!
-//! A cache is unbounded by default — sweeps are finite and the batch /
-//! bench flows want every entry resident. A long-running daemon cannot
+//! A cache is unbounded by default — sweeps are finite and the batch
+//! flows want every entry resident. A long-running daemon cannot
 //! tolerate that, so [`ContentCache::bounded`] accepts a byte budget and
 //! evicts with a **keyed-order second-chance** sweep: entries are kept
 //! in key order (a `BTreeMap`), every hit sets a referenced bit, and

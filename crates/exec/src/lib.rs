@@ -1,7 +1,7 @@
 //! # clasp-exec — deterministic parallel sweeps and a compile cache
 //!
 //! Every throughput consumer of the pipeline — the experiments harness,
-//! `clasp-cli fuzz`, `clasp-cli batch`, the bench report — runs the same
+//! `clasp-cli fuzz`, `clasp-cli batch` — runs the same
 //! shape of work: a large list of independent (loop, machine) cases whose
 //! per-case cost varies by orders of magnitude. The hand-rolled chunked
 //! `parallel_map` this crate replaces had two bugs baked into its shape:

@@ -3,9 +3,9 @@
 //! `BENCH_load.json` that the repo commits as its latency baseline.
 //!
 //! Every cell is written on its own JSON line so the committed-baseline
-//! reader ([`committed_cell_field`]) can stay a line scanner, exactly
-//! like `bench-report`'s `committed_stage_ns` — no JSON parser in the
-//! gate path.
+//! reader ([`committed_cell_field`]) can stay a line scanner — no JSON
+//! parser in the gate path. `clasp-cli load --gate` reads the baseline
+//! before the run, so `--json` may overwrite the same file.
 
 use crate::resources::Watermark;
 use crate::runner::CellReport;

@@ -8,9 +8,9 @@
 //! presets — CGRA-style meshes and tori, heterogeneous FU mixes, and the
 //! classic bused machines — through the [`CompileService`] facade on the
 //! deterministic executor. The aggregates are integer sums in a fixed
-//! row order, so the rendered report (`results/strata.csv`, the `strata`
-//! block of `BENCH_sched.json`) is bit-identical for every thread count
-//! and cache temperature.
+//! row order, so the rendered report (`results/strata.csv`) is
+//! bit-identical for every thread count and cache temperature
+//! (`tests/strata.rs` and CI's strata-smoke job compare it).
 
 use crate::service::CompileService;
 use crate::CompileRequest;
@@ -138,34 +138,6 @@ impl SweepReport {
                 r.degradation_text()
             ));
         }
-        out
-    }
-
-    /// Render the `strata` block of `BENCH_sched.json` (a JSON object,
-    /// no trailing comma; the caller splices it into the report).
-    pub fn render_json_block(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!(
-            "    \"seed\": {}, \"loops_per_stratum\": {},\n",
-            self.config.seed, self.config.loops_per_stratum
-        ));
-        out.push_str("    \"rows\": [\n");
-        for (i, r) in self.rows.iter().enumerate() {
-            out.push_str(&format!(
-                "      {{\"preset\": \"{}\", \"stratum\": \"{}\", \"loops\": {}, \
-                 \"compiled\": {}, \"clustered_ii_sum\": {}, \"unified_ii_sum\": {}, \
-                 \"degradation\": {}}}{}\n",
-                r.preset,
-                r.stratum,
-                r.loops,
-                r.compiled,
-                r.clustered_ii_sum,
-                r.unified_ii_sum,
-                r.degradation_text(),
-                if i + 1 < self.rows.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("    ]\n  }");
         out
     }
 }
@@ -317,7 +289,5 @@ mod tests {
             "preset,stratum,loops,compiled,clustered_ii_sum,unified_ii_sum,degradation\n"
         ));
         assert!(csv.ends_with("mesh3x3,livermore,1,1,12,10,1.2000\n"));
-        let json = report.render_json_block();
-        assert!(json.contains("\"degradation\": 1.2000"));
     }
 }
