@@ -15,7 +15,7 @@ use crate::config::AssignConfig;
 use crate::result::{materialize, AssignStats, Assignment};
 use crate::state::AssignState;
 use crate::AssignError;
-use clasp_ddg::{depth_height, Ddg, NodeId};
+use clasp_ddg::{depth_height, max_ii_bound, Ddg, NodeId};
 use clasp_machine::{ClusterId, MachineSpec};
 
 /// Assign clusters by post-scheduling partitioning: emulate a unified
@@ -69,12 +69,7 @@ pub fn post_scheduling_assign_from(
     let mut order: Vec<NodeId> = g.node_ids().collect();
     order.sort_by_key(|n| (dh.depth[n.index()], n.0));
 
-    let max_ii = config.max_ii.unwrap_or_else(|| {
-        let total_lat: u32 = g.edges().map(|(_, e)| e.latency).sum();
-        mii.saturating_add(total_lat)
-            .saturating_add(g.node_count() as u32)
-            .max(mii + 1)
-    });
+    let max_ii = config.max_ii.unwrap_or_else(|| max_ii_bound(g, mii));
 
     let mut stats = AssignStats::default();
     let clusters: Vec<ClusterId> = machine.cluster_ids().collect();

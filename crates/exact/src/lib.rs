@@ -47,7 +47,7 @@ use clasp_core::{validate_assignment, AssignConfig, Assignment};
 use clasp_ddg::{Ddg, NodeId};
 use clasp_machine::MachineSpec;
 use clasp_sched::{
-    iterative_schedule, max_ii_bound, validate_schedule, SchedFailure, Schedule, SchedulerConfig,
+    ii_search_range, iterative_schedule, validate_schedule, SchedFailure, Schedule, SchedulerConfig,
 };
 
 /// Resource caps for the exact backend.
@@ -137,8 +137,7 @@ pub fn exact_at_ii(
 ///
 /// Every II below the returned one carries an UNSAT certificate, so the
 /// result is minimal (under single-hop copy routing). The search range
-/// is capped at [`max_ii_bound`], the same ceiling the heuristic
-/// escalation loop uses.
+/// is [`ii_search_range`], the range the heuristic escalation loop uses.
 ///
 /// # Errors
 ///
@@ -170,12 +169,7 @@ pub fn exact_schedule_with(
             nodes,
         });
     }
-    let mii = machine.mii(g);
-    if mii == u32::MAX {
-        return Err(SchedFailure::MiiUnbounded);
-    }
-    let min_ii = mii.max(1);
-    let max_ii = max_ii_bound(g, min_ii);
+    let (min_ii, max_ii) = ii_search_range(g, machine.mii(g), None)?;
     let mut attempts = 0u32;
     for ii in min_ii..=max_ii {
         let mut enc = encode::encode(g, machine, ii);

@@ -43,8 +43,7 @@ use clasp_kernel::{emit_program_with, reference_stream, run_program, RegisterMod
 use clasp_machine::{Interconnect, LinkId, MachineSpec};
 use clasp_mrt::ClusterMap;
 use clasp_sched::{
-    max_ii_bound, unified_map, validate_schedule, SchedContext, Schedule, ScheduleError,
-    SchedulerConfig,
+    schedule_unified, unified_map, validate_schedule, Schedule, ScheduleError, SchedulerConfig,
 };
 use std::collections::HashMap;
 use std::fmt;
@@ -311,15 +310,7 @@ impl fmt::Display for OracleViolation {
 /// pathology, not a clustered-pipeline bug — the caller skips invariant
 /// 6 rather than reporting it).
 pub fn unified_baseline_ii(g: &Ddg, machine: &MachineSpec) -> Option<u32> {
-    let unified = machine.unified_equivalent();
-    let mii = unified.mii(g);
-    if mii == u32::MAX {
-        return None;
-    }
-    let map = unified_map(g, &unified);
-    let cap = max_ii_bound(g, mii);
-    let mut ctx = SchedContext::new(g, &unified, &map).ok()?;
-    ctx.schedule_in_range(mii.max(1), cap, SchedulerConfig::default())
+    schedule_unified(g, &machine.unified_equivalent(), SchedulerConfig::default())
         .ok()
         .map(|s| s.ii())
 }

@@ -95,6 +95,31 @@ pub fn schedule_in_range(
     ctx.schedule_in_range(min_ii, max_ii, config)
 }
 
+/// The II search range every escalation shares: refuse an unbounded
+/// MII (the machine cannot execute some operation class at all, so the
+/// search would start at `u32::MAX`), clamp the degenerate `mii == 0` to
+/// 1, and only then derive the default cap from [`max_ii_bound`], so the
+/// range is the same whether or not the caller clamps first.
+///
+/// Returns `(first II to try, inclusive cap)`; `configured_cap`, when
+/// set, replaces the default cap.
+///
+/// # Errors
+///
+/// [`SchedFailure::MiiUnbounded`] when `raw_mii` is `u32::MAX`.
+pub fn ii_search_range(
+    g: &Ddg,
+    raw_mii: u32,
+    configured_cap: Option<u32>,
+) -> Result<(u32, u32), SchedFailure> {
+    if raw_mii == u32::MAX {
+        return Err(SchedFailure::MiiUnbounded);
+    }
+    let start = raw_mii.max(1);
+    let cap = configured_cap.unwrap_or_else(|| max_ii_bound(g, start));
+    Ok((start, cap))
+}
+
 /// Schedule a copy-free loop on a unified machine: computes `MII =
 /// max(RecMII, ResMII)` and searches upward. This is the paper's baseline
 /// ("an equally wide non-clustered machine").
@@ -114,13 +139,8 @@ pub fn schedule_unified(
     machine: &MachineSpec,
     config: SchedulerConfig,
 ) -> Result<Schedule, SchedFailure> {
-    let map = unified_map(g, machine);
-    let mii = machine.mii(g);
-    if mii == u32::MAX {
-        return Err(SchedFailure::MiiUnbounded);
-    }
-    let max_ii = max_ii_bound(g, mii);
-    schedule_in_range(g, machine, &map, mii, max_ii, config)
+    let (min_ii, max_ii) = ii_search_range(g, machine.mii(g), None)?;
+    schedule_in_range(g, machine, &unified_map(g, machine), min_ii, max_ii, config)
 }
 
 #[cfg(test)]

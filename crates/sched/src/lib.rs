@@ -11,6 +11,7 @@
 //! - [`schedule_in_range`]: search upward over II;
 //! - [`schedule_unified`]: the unified-machine baseline the paper compares
 //!   every clustered result against;
+//! - [`ii_search_range`]: the II range every escalation searches;
 //! - [`validate_schedule`]: independent checker for dependence and
 //!   resource correctness.
 //!
@@ -47,7 +48,9 @@ mod swing;
 pub use clasp_ddg::max_ii_bound;
 pub use context::SchedContext;
 pub use failure::SchedFailure;
-pub use iterative::{iterative_schedule, schedule_in_range, schedule_unified, SchedulerConfig};
+pub use iterative::{
+    ii_search_range, iterative_schedule, schedule_in_range, schedule_unified, SchedulerConfig,
+};
 pub use schedule::{slot_request, unified_map, validate_schedule, Schedule, ScheduleError};
 pub use stats::{AttemptStats, CONFLICT_CLASSES};
 pub use swing::{schedule_with, schedule_with_stats, swing_schedule, SchedulerKind};

@@ -15,7 +15,7 @@
 //! *nothing* by hand; they issue a [`CompileRequest`] and read the
 //! artifact.
 
-use crate::pipeline::{compile_loop_observed, CompiledLoop, PipelineConfig, PipelineError};
+use crate::pipeline::{escalate, CompiledLoop, Phase1, PipelineConfig, PipelineError};
 use clasp_core::Assignment;
 use clasp_ddg::{Ddg, LoopAnalysis};
 use clasp_exact::ExactConfig;
@@ -363,11 +363,11 @@ pub fn compile_full_observed(
     let span = obs.begin("stage.assign_sched");
     let mut trajectory = Vec::new();
     let result = match req.backend {
-        BackendKind::Heuristic => compile_loop_observed(
+        BackendKind::Heuristic => escalate(
             g,
             machine,
             req.pipeline,
-            &analysis,
+            Phase1::Paper(&analysis),
             obs,
             |requested_ii, assignment: &Assignment, failure: Option<&SchedFailure>| {
                 trajectory.push(IiStep {
@@ -489,7 +489,7 @@ pub fn compile_full_observed(
     })
 }
 
-/// The exact-backend counterpart of `compile_loop_observed`: iterate II
+/// The exact-backend counterpart of the heuristic `escalate`: iterate II
 /// upward via [`clasp_exact::exact_schedule_with`], recording one
 /// [`IiStep`] and one `pipeline.attempt` span per fixed-II attempt
 /// (carrying the CNF size and conflict count instead of the heuristic's

@@ -70,8 +70,8 @@ pub use driver::{
     CompileRequest, CompiledArtifact, IiStep, RegisterModelKind, RegisterStats, StageTimings,
 };
 pub use pipeline::{
-    compare_with_unified, compile_loop, compile_loop_post, compile_loop_post_observed, unified_ii,
-    CompiledLoop, PipelineConfig, PipelineError,
+    compare_with_unified, compile_loop, compile_loop_post, unified_ii, CompiledLoop,
+    PipelineConfig, PipelineError,
 };
 pub use service::{CompileService, ServiceConfig, ServiceError, ServiceReply, ServiceRequest};
 

@@ -1,6 +1,8 @@
 //! The full two-phase compilation pipeline of the paper's Figure 5:
 //! cluster assignment, then traditional modulo scheduling, escalating II
-//! whenever either phase fails. Escalation re-enters a per-loop
+//! whenever either phase fails. One loop runs it for every heuristic
+//! entry point, with the paper's assigner or the §1.4 post-scheduling
+//! baseline as phase 1. The paper's escalation re-enters a per-loop
 //! [`Assigner`] workspace that resets its working state in place and
 //! recycles the failed attempt's buffers, rather than re-assigning from
 //! scratch — with decisions bit-identical to a from-scratch run.
@@ -19,8 +21,8 @@ use clasp_ddg::{Ddg, LoopAnalysis};
 use clasp_machine::MachineSpec;
 use clasp_obs::{Counter, Obs};
 use clasp_sched::{
-    max_ii_bound, schedule_with_stats, unified_map, AttemptStats, SchedContext, SchedFailure,
-    Schedule, SchedulerConfig, SchedulerKind,
+    ii_search_range, schedule_unified, schedule_with_stats, AttemptStats, SchedFailure, Schedule,
+    SchedulerConfig, SchedulerKind,
 };
 use std::fmt;
 
@@ -159,36 +161,14 @@ pub fn compile_loop(
     // assignment attempt. Each escalation's *working* graph is new (fresh
     // copies), so its analysis lives inside the scheduler's context.
     let analysis = LoopAnalysis::compute(g);
-    compile_loop_with(g, machine, config, &analysis)
-}
-
-pub(crate) fn compile_loop_with(
-    g: &Ddg,
-    machine: &MachineSpec,
-    config: PipelineConfig,
-    analysis: &LoopAnalysis,
-) -> Result<CompiledLoop, PipelineError> {
-    compile_loop_observed(g, machine, config, analysis, &Obs::disabled(), |_, _, _| {})
-}
-
-/// The II search range shared by every escalation site: guard an
-/// unbounded MII (the machine cannot execute some operation class at
-/// all — escalation would start at `u32::MAX`), clamp the degenerate
-/// `mii == 0` to 1, and only then derive the default cap, so the range
-/// is computed identically whether the caller clamps or not.
-///
-/// Returns `(first II to try, inclusive cap)`.
-fn ii_search_range(
-    g: &Ddg,
-    raw_mii: u32,
-    configured_cap: Option<u32>,
-) -> Result<(u32, u32), SchedFailure> {
-    if raw_mii == u32::MAX {
-        return Err(SchedFailure::MiiUnbounded);
-    }
-    let start = raw_mii.max(1);
-    let cap = configured_cap.unwrap_or_else(|| max_ii_bound(g, start));
-    Ok((start, cap))
+    escalate(
+        g,
+        machine,
+        config,
+        Phase1::Paper(&analysis),
+        &Obs::disabled(),
+        |_, _, _| {},
+    )
 }
 
 /// Fold one scheduling attempt's deterministic statistics into the sink.
@@ -224,34 +204,58 @@ fn assign_observed(
     result
 }
 
-/// The Figure 5 escalation loop, reporting every attempt to `on_attempt`
+/// Phase 1 of [`escalate`]: the pass that assigns clusters at each II.
+pub(crate) enum Phase1<'a> {
+    /// The paper's assigner over the loop's precomputed analysis. One
+    /// [`Assigner`] workspace serves every attempt: a retry re-enters it
+    /// at a larger II with the working state reset in place and the
+    /// failed attempt's buffers recycled.
+    Paper(&'a LoopAnalysis),
+    /// The §1.4 post-scheduling partitioning baseline.
+    Post,
+}
+
+/// The Figure 5 escalation loop: assign clusters with `phase1`, modulo
+/// schedule the annotated graph, and on a scheduler failure restart one
+/// II above the assignment's. Every attempt is reported to `on_attempt`
 /// as `(requested II, assignment, scheduler failure)` — `None` on the
 /// successful final attempt — and to `obs` as one `pipeline.attempt`
-/// span per iteration carrying the requested II, the achieved II, the
-/// copies inserted, and the typed failure. The driver builds its II
-/// trajectory from these callbacks; `compile_loop` passes a no-op.
-pub(crate) fn compile_loop_observed(
+/// span carrying the requested II, the achieved II, the copies inserted
+/// and the typed failure. The driver builds its II trajectory from these
+/// callbacks; the other entry points pass a no-op.
+pub(crate) fn escalate(
     g: &Ddg,
     machine: &MachineSpec,
     config: PipelineConfig,
-    analysis: &LoopAnalysis,
+    phase1: Phase1<'_>,
     obs: &Obs,
     mut on_attempt: impl FnMut(u32, &Assignment, Option<&SchedFailure>),
 ) -> Result<CompiledLoop, PipelineError> {
+    // The range check runs before the assigner is built, so a machine
+    // that cannot execute some operation reports its unbounded MII, not
+    // the assigner's `InfeasibleOp`.
     let (start, cap) =
         ii_search_range(g, machine.unified_equivalent().mii(g), config.assign.max_ii)
             .map_err(PipelineError::UnifiedBaselineFailed)?;
-    // One assignment workspace serves every escalation attempt of this
-    // loop: scheduler-driven retries re-enter it at a larger II with the
-    // working state reset in place and the failed attempt's assignment
-    // buffers recycled, instead of rebuilding everything from scratch.
-    let mut assigner = Assigner::with_analysis(g, machine, config.assign, analysis)?;
+    let mut assigner = match phase1 {
+        Phase1::Paper(analysis) => Some(Assigner::with_analysis(
+            g,
+            machine,
+            config.assign,
+            analysis,
+        )?),
+        Phase1::Post => None,
+    };
     let mut min_ii = start;
     let mut last = None;
     let mut attempted_max = None;
     while min_ii <= cap {
         let span = obs.begin("pipeline.attempt");
-        let assignment = match assign_observed(&mut assigner, min_ii, obs) {
+        let assigned = match &mut assigner {
+            Some(assigner) => assign_observed(assigner, min_ii, obs),
+            None => post_scheduling_assign_from(g, machine, config.assign, min_ii),
+        };
+        let assignment = match assigned {
             Ok(a) => a,
             Err(e) => {
                 obs.end_with(span, || {
@@ -305,11 +309,11 @@ pub(crate) fn compile_loop_observed(
                 // Scheduler failed at the assignment's II: the paper
                 // restarts the whole process one II higher (a fresh
                 // assignment generally needs fewer copies at a larger II).
-                // The discarded assignment's buffers go back to the
-                // workspace for the next attempt's materialization.
                 on_attempt(min_ii, &assignment, Some(&failure));
                 min_ii = assignment.ii + 1;
-                assigner.recycle(assignment);
+                if let Some(assigner) = &mut assigner {
+                    assigner.recycle(assignment);
+                }
                 last = Some(failure);
             }
         }
@@ -334,88 +338,14 @@ pub fn compile_loop_post(
     machine: &MachineSpec,
     config: PipelineConfig,
 ) -> Result<CompiledLoop, PipelineError> {
-    compile_loop_post_observed(g, machine, config, &Obs::disabled())
-}
-
-/// [`compile_loop_post`] recording each escalation attempt into `obs`
-/// (same span and counter taxonomy as the paper's own pipeline).
-///
-/// # Errors
-///
-/// See [`PipelineError`].
-pub fn compile_loop_post_observed(
-    g: &Ddg,
-    machine: &MachineSpec,
-    config: PipelineConfig,
-    obs: &Obs,
-) -> Result<CompiledLoop, PipelineError> {
-    let (start, cap) =
-        ii_search_range(g, machine.unified_equivalent().mii(g), config.assign.max_ii)
-            .map_err(PipelineError::UnifiedBaselineFailed)?;
-    let mut min_ii = start;
-    let mut last = None;
-    let mut attempted_max = None;
-    while min_ii <= cap {
-        let span = obs.begin("pipeline.attempt");
-        let assignment = match post_scheduling_assign_from(g, machine, config.assign, min_ii) {
-            Ok(a) => a,
-            Err(e) => {
-                obs.end_with(span, || {
-                    vec![
-                        ("requested_ii", min_ii.to_string()),
-                        ("result", format!("assign failed: {e}")),
-                    ]
-                });
-                return Err(e.into());
-            }
-        };
-        let (result, stats) = schedule_with_stats(
-            config.scheduler,
-            &assignment.graph,
-            machine,
-            &assignment.map,
-            assignment.ii,
-            config.sched,
-        );
-        obs.add(Counter::PipelineAttempts, 1);
-        obs.add(Counter::AssignCopies, assignment.copy_count() as u64);
-        fold_sched_stats(obs, &stats);
-        attempted_max = Some(assignment.ii);
-        obs.end_with(span, || {
-            let mut args = vec![
-                ("requested_ii", min_ii.to_string()),
-                ("assigned_ii", assignment.ii.to_string()),
-                ("copies", assignment.copy_count().to_string()),
-                (
-                    "result",
-                    match &result {
-                        Ok(_) => "ok".to_string(),
-                        Err(f) => f.to_string(),
-                    },
-                ),
-            ];
-            if let Some(n) = result.as_ref().err().and_then(|f| f.blocking_node()) {
-                args.push(("blocked_on", n.to_string()));
-            }
-            args
-        });
-        match result {
-            Ok(schedule) => {
-                return Ok(CompiledLoop {
-                    assignment,
-                    schedule,
-                });
-            }
-            Err(failure) => {
-                min_ii = assignment.ii + 1;
-                last = Some(failure);
-            }
-        }
-    }
-    Err(PipelineError::IiExhausted {
-        max_ii: attempted_max.unwrap_or(cap),
-        last,
-    })
+    escalate(
+        g,
+        machine,
+        config,
+        Phase1::Post,
+        &Obs::disabled(),
+        |_, _, _| {},
+    )
 }
 
 /// The paper's baseline: the II the same loop achieves on the equally
@@ -431,27 +361,7 @@ pub fn unified_ii(
     machine: &MachineSpec,
     sched: SchedulerConfig,
 ) -> Result<u32, SchedFailure> {
-    unified_ii_impl(g, machine, sched, None)
-}
-
-/// Shared implementation: schedule `g` on `machine`'s unified equivalent,
-/// reusing a caller-held [`LoopAnalysis`] when one exists (it depends
-/// only on the graph, never the machine).
-fn unified_ii_impl(
-    g: &Ddg,
-    machine: &MachineSpec,
-    sched: SchedulerConfig,
-    analysis: Option<&LoopAnalysis>,
-) -> Result<u32, SchedFailure> {
-    let unified = machine.unified_equivalent();
-    let (start, cap) = ii_search_range(g, unified.mii(g), None)?;
-    let map = unified_map(g, &unified);
-    let mut ctx = match analysis {
-        Some(la) => SchedContext::with_analysis(g, &unified, &map, la),
-        None => SchedContext::new(g, &unified, &map),
-    }
-    .map_err(SchedFailure::Invalid)?;
-    ctx.schedule_in_range(start, cap, sched).map(|s| s.ii())
+    schedule_unified(g, &machine.unified_equivalent(), sched).map(|s| s.ii())
 }
 
 /// Compile on the clustered machine *and* its unified equivalent,
@@ -467,11 +377,8 @@ pub fn compare_with_unified(
     machine: &MachineSpec,
     config: PipelineConfig,
 ) -> Result<(u32, u32), PipelineError> {
-    // One analysis of the source graph serves both sides of the
-    // comparison (it depends only on the graph, not the machine).
-    let analysis = LoopAnalysis::compute(g);
-    let unified = unified_ii_impl(g, machine, config.sched, Some(&analysis))
-        .map_err(PipelineError::UnifiedBaselineFailed)?;
-    let compiled = compile_loop_with(g, machine, config, &analysis)?;
+    let unified =
+        unified_ii(g, machine, config.sched).map_err(PipelineError::UnifiedBaselineFailed)?;
+    let compiled = compile_loop(g, machine, config)?;
     Ok((compiled.ii(), unified))
 }

@@ -55,17 +55,12 @@ fn schedule_times(s: &Schedule) -> Vec<(u32, i64)> {
 /// every attempt checked against a from-scratch `assign_from` replay at
 /// the same entry II. Returns a digest of the whole trajectory.
 fn check_loop(g: &Ddg, machine: &MachineSpec, config: PipelineConfig) -> String {
-    let raw_mii = machine.unified_equivalent().mii(g);
     let mut digest = format!("{}:", g.name());
-    if raw_mii == u32::MAX {
+    let raw_mii = machine.unified_equivalent().mii(g);
+    let Ok((start, cap)) = clasp_sched::ii_search_range(g, raw_mii, config.assign.max_ii) else {
         let err = compile_loop(g, machine, config).expect_err("unbounded MII cannot compile");
         return format!("{digest}unbounded:{err:?}");
-    }
-    let start = raw_mii.max(1);
-    let cap = config
-        .assign
-        .max_ii
-        .unwrap_or_else(|| clasp_sched::max_ii_bound(g, start));
+    };
 
     let mut assigner = Assigner::new(g, machine, config.assign).expect("corpus graphs validate");
     let mut min_ii = start;

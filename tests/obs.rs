@@ -5,8 +5,8 @@
 
 use clasp::obs::{Counter, Obs, SpanRecord};
 use clasp::{
-    compile_full_observed, compile_loop, compile_loop_post, compile_loop_post_observed,
-    CompileCache, CompileRequest, PipelineConfig, PipelineError,
+    compile_full_observed, compile_loop, compile_loop_post, CompileCache, CompileRequest,
+    PipelineConfig, PipelineError,
 };
 use clasp_ddg::{Ddg, OpKind};
 use clasp_machine::{presets, ClusterSpec, Interconnect, MachineSpec};
@@ -229,8 +229,12 @@ fn ii_exhausted_reports_the_largest_ii_actually_attempted() {
         sched: SchedulerConfig { budget_factor: 0 },
         ..PipelineConfig::default()
     };
+    let req = CompileRequest {
+        pipeline: config,
+        ..CompileRequest::default()
+    };
     let obs = Obs::enabled();
-    let err = compile_loop_post_observed(&g, &machine, config, &obs).unwrap_err();
+    let err = compile_full_observed(&g, &machine, &req, &obs).unwrap_err();
     let PipelineError::IiExhausted { max_ii, last } = err else {
         panic!("expected IiExhausted, got {err}")
     };
