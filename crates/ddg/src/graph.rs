@@ -311,14 +311,6 @@ impl Ddg {
         self.pred[n.index()].len()
     }
 
-    /// Count operations per [`OpKind`], indexed by position in a caller
-    /// supplied closure; convenience for ResMII computations.
-    pub fn count_ops<F: FnMut(OpKind)>(&self, mut f: F) {
-        for op in &self.nodes {
-            f(op.kind);
-        }
-    }
-
     /// Render the graph in Graphviz DOT format (loop-carried edges dashed,
     /// labelled with `latency[,distance]`).
     pub fn to_dot(&self) -> String {

@@ -71,12 +71,6 @@ impl Series {
             .sum();
         100.0 * n as f64 / self.loops as f64
     }
-
-    /// Largest observed deviation.
-    #[allow(dead_code)]
-    pub fn max_deviation(&self) -> i64 {
-        self.hist.keys().copied().max().unwrap_or(0)
-    }
 }
 
 /// A series request: label, clustered machine, pipeline configuration.

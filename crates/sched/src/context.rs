@@ -154,11 +154,6 @@ impl<'a> SchedContext<'a> {
         self.stats
     }
 
-    /// Return the accumulated statistics and reset them to zero.
-    pub fn take_stats(&mut self) -> AttemptStats {
-        std::mem::take(&mut self.stats)
-    }
-
     /// Attempt a modulo schedule at exactly `ii` (Rau's iterative modulo
     /// scheduler). Decision-for-decision identical to
     /// [`crate::iterative_schedule`]; every attempt starts from fully

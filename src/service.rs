@@ -6,7 +6,7 @@
 //!
 //! - the tiered [`CompileCache`](crate::CompileCache) for full-driver
 //!   artifacts (memory over an optional persistent directory),
-//! - two phase-2 memo tables for callers that only need IIs (the
+//! - one phase-2 memo table for callers that only need IIs (the
 //!   experiment harness compiles thousands of loops but never emits a
 //!   kernel — caching the full artifact would be pure waste),
 //! - an admission gate bounding how many compiles run at once, so a
@@ -115,12 +115,12 @@ impl Drop for GatePermit<'_> {
     }
 }
 
-/// The service facade: tiered artifact cache + phase-2 II memo tables +
+/// The service facade: tiered artifact cache + phase-2 II memo table +
 /// admission gate. See the module docs.
 pub struct CompileService {
     full: CompileCache,
+    /// Clustered and unified IIs alike; every key starts with its kind.
     phase2: ContentCache<Option<u32>>,
-    unified: ContentCache<Option<u32>>,
     gate: Gate,
 }
 
@@ -153,7 +153,6 @@ impl CompileService {
         Ok(CompileService {
             full: CompileCache::with_limits(config.memory_budget, disk),
             phase2: ContentCache::new(),
-            unified: ContentCache::new(),
             gate: Gate::new(width),
         })
     }
@@ -203,7 +202,7 @@ impl CompileService {
         sched: SchedulerConfig,
     ) -> Option<u32> {
         let key = phase2_key("unified", g, machine, &format!("{sched:?}"));
-        *self.unified.get_or_compute(key, || {
+        *self.phase2.get_or_compute(key, || {
             let _permit = self.gate.acquire();
             unified_ii(g, machine, sched).ok()
         })
