@@ -228,6 +228,54 @@ fn wire_and_in_process_keys_never_collide() {
 }
 
 #[test]
+fn a_memory_budget_bounds_the_tier_and_never_changes_a_reply() {
+    // Daemon entries hold only their payload, so the memory budget
+    // bounds what a daemon holds. Twelve bench-corpus requests under a
+    // third of their payload bytes must evict, stay under the budget
+    // after every request, and answer each request, evicted ones
+    // included, with the unbounded service's bytes.
+    let machine_text = clasp_text::write_machine(&clasp_machine::presets::four_cluster_gp(4, 2));
+    let wires: Vec<String> = bench_corpus()
+        .iter()
+        .take(12)
+        .map(|g| ServiceRequest::new(clasp_text::write_loop(g), machine_text.clone()).render())
+        .collect();
+    let unbounded = CompileService::in_memory();
+    let reference: Vec<String> = wires.iter().map(|w| unbounded.respond(w)).collect();
+    let budget = unbounded.stats().resident_bytes / 3;
+    assert!(budget > 0, "payloads are charged to the tier");
+
+    let bounded = CompileService::new(ServiceConfig {
+        memory_budget: Some(budget as usize),
+        ..ServiceConfig::default()
+    })
+    .expect("memory-only service");
+    let mut misses = 0;
+    for pass in 0..2 {
+        for (wire, expected) in wires.iter().zip(&reference) {
+            assert_eq!(
+                &bounded.respond(wire),
+                expected,
+                "pass {pass}: a bounded reply diverged"
+            );
+            let stats = bounded.stats();
+            assert!(
+                stats.resident_bytes <= budget,
+                "pass {pass}: {} bytes resident over a {budget}-byte budget",
+                stats.resident_bytes
+            );
+        }
+        let stats = bounded.stats();
+        assert!(stats.evictions > 0, "pass {pass}: the budget never evicted");
+        assert!(
+            stats.misses > misses,
+            "pass {pass}: no evicted request was compiled again"
+        );
+        misses = stats.misses;
+    }
+}
+
+#[test]
 fn daemon_replies_equal_in_process_replies_on_the_bench_corpus() {
     // The daemon adds transport, never behavior: for every bench-corpus
     // loop its reply bytes equal the in-process service's on the same
