@@ -43,7 +43,7 @@
 //!
 //! A cache is unbounded by default — sweeps are finite and the batch
 //! flows want every entry resident. A long-running daemon cannot
-//! tolerate that, so [`ContentCache::bounded`] accepts a byte budget and
+//! tolerate that, so [`ContentCache::with_budget`] accepts a byte budget and
 //! evicts with a **keyed-order second-chance** sweep: entries are kept
 //! in key order (a `BTreeMap`), every hit sets a referenced bit, and
 //! when the recorded weights exceed the budget a clock hand walks keys
@@ -248,7 +248,7 @@ struct State<V> {
 
 /// A thread-safe content-addressed memo table from [`CacheKey`] to
 /// `Arc<V>`. Unbounded by default ([`ContentCache::new`]); a daemon
-/// composes it with a byte budget ([`ContentCache::bounded`]) so the
+/// composes it with a byte budget ([`ContentCache::with_budget`]) so the
 /// keyed-order second-chance policy described in the module docs keeps
 /// residency under control.
 pub struct ContentCache<V> {
@@ -280,16 +280,11 @@ impl<V> ContentCache<V> {
         ContentCache::with_budget(None)
     }
 
-    /// An empty cache that evicts once the recorded weights exceed
-    /// `budget_bytes`. Weights are supplied by the caller through
-    /// [`ContentCache::get_or_compute_weighed`]; lookups through the
-    /// unweighed entry points record weight 0 and are effectively
-    /// pinned.
-    pub fn bounded(budget_bytes: usize) -> Self {
-        ContentCache::with_budget(Some(budget_bytes))
-    }
-
-    /// An empty cache with an optional byte budget (`None` = unbounded).
+    /// An empty cache that, given a budget (`None` = unbounded), evicts
+    /// once the recorded weights exceed it. Weights are supplied by the
+    /// caller through [`ContentCache::get_or_compute_weighed`]; lookups
+    /// through [`ContentCache::get_or_compute`] record weight 0 and are
+    /// effectively pinned.
     pub fn with_budget(budget: Option<usize>) -> Self {
         ContentCache {
             state: Mutex::new(State {
@@ -302,11 +297,6 @@ impl<V> ContentCache<V> {
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
-    }
-
-    /// The configured byte budget, if any.
-    pub fn budget(&self) -> Option<usize> {
-        self.budget
     }
 
     /// The installed value for `key`, counted as a hit, or `None` when
@@ -330,28 +320,16 @@ impl<V> ContentCache<V> {
     /// block on the installer rather than recomputing, so `compute` runs
     /// exactly once per key and the hit/miss counters are deterministic.
     pub fn get_or_compute(&self, key: CacheKey, compute: impl FnOnce() -> V) -> Arc<V> {
-        self.get_or_compute_info(key, compute).0
+        self.get_or_compute_weighed(key, || (compute(), 0)).0
     }
 
-    /// [`ContentCache::get_or_compute`], also reporting whether *this*
-    /// lookup was the key's one counted miss (`true`) or a hit
-    /// (`false`) — the hook callers use to fold per-lookup hit/miss
+    /// [`ContentCache::get_or_compute`] with the computed value's weight
+    /// in bytes, which the byte-budget policy charges against the
+    /// budget. Returns `(value, missed, evicted)`: whether *this* lookup
+    /// was the key's one counted miss, and how many entries its
+    /// installation pushed out — the hooks for folding per-lookup
     /// counts into an observability sink with the same determinism
     /// contract as [`ContentCache::stats`].
-    pub fn get_or_compute_info(
-        &self,
-        key: CacheKey,
-        compute: impl FnOnce() -> V,
-    ) -> (Arc<V>, bool) {
-        let (value, missed, _) = self.get_or_compute_weighed(key, || (compute(), 0));
-        (value, missed)
-    }
-
-    /// [`ContentCache::get_or_compute_info`] with the computed value's
-    /// weight in bytes, which the byte-budget policy charges against the
-    /// budget. Returns `(value, missed, evicted)` where `evicted` is the
-    /// number of entries *this* call's installation pushed out — the
-    /// hook for folding `cache.evictions` into an observability sink.
     pub fn get_or_compute_weighed(
         &self,
         key: CacheKey,
@@ -636,7 +614,7 @@ mod tests {
     fn budget_evicts_in_keyed_order() {
         // Budget of 3 unit-weight entries: installing a 4th evicts the
         // keyed-smallest unreferenced entry.
-        let cache: ContentCache<u64> = ContentCache::bounded(3);
+        let cache: ContentCache<u64> = ContentCache::with_budget(Some(3));
         let keys: Vec<CacheKey> = (0..4u64).map(|i| CacheKey::of(&[&i.to_string()])).collect();
         let mut sorted = keys.clone();
         sorted.sort();
@@ -661,7 +639,7 @@ mod tests {
 
     #[test]
     fn second_chance_spares_referenced_entries() {
-        let cache: ContentCache<u64> = ContentCache::bounded(2);
+        let cache: ContentCache<u64> = ContentCache::with_budget(Some(2));
         let a = CacheKey::of(&["a"]);
         let b = CacheKey::of(&["b"]);
         cache.get_or_compute_weighed(a, || (1, 1));
@@ -685,7 +663,7 @@ mod tests {
         // caches fed the same single-threaded workload end with the
         // same resident set.
         let run = || {
-            let cache: ContentCache<u64> = ContentCache::bounded(4);
+            let cache: ContentCache<u64> = ContentCache::with_budget(Some(4));
             let op_keys: Vec<CacheKey> = (0..12u64)
                 .map(|i| CacheKey::of(&[&(i % 7).to_string()]))
                 .collect();

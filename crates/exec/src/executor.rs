@@ -3,16 +3,14 @@
 //! # Determinism contract
 //!
 //! For a pure per-item function `f`, the output of [`try_sweep`] (and of
-//! [`sweep`] / [`sweep_with`] on the success path) is **bit-identical for
-//! every thread count**, including 1:
+//! [`sweep`] on the success path) is **bit-identical for every thread
+//! count**, including 1:
 //!
 //! - results are collected *seed-ordered*: item `i`'s result is written
 //!   to slot `i`, so the output `Vec` is in input order regardless of
 //!   which worker ran which item or when it finished;
 //! - each item is processed exactly once, by exactly one worker, with no
-//!   per-thread state influencing the result (the per-worker context of
-//!   [`sweep_with`] is scratch: the contract requires `f(ctx, i, item)`
-//!   to return the same value for any context produced by `make_ctx`);
+//!   per-thread state influencing the result;
 //! - the sweep never stops early: even after a panic, the remaining
 //!   items still run, so the error reported by [`sweep`] is always the
 //!   *lowest-indexed* panicking item — the same one a serial run would
@@ -93,37 +91,24 @@ fn render_payload(payload: Box<dyn std::any::Any + Send>) -> String {
 /// Map `f` over `items` on `threads` workers (0 = auto), returning one
 /// `Result` per item in input order: `Ok(r)` for items that completed,
 /// `Err(payload)` for items that panicked. Never stops early.
-///
-/// `make_ctx` builds one context per worker thread, handed mutably to
-/// every item that worker processes — the hook that keeps expensive
-/// scratch state (allocation-free scheduling contexts, cache handles)
-/// warm across cases instead of rebuilding it per case.
-pub fn try_sweep<T, R, W>(
+pub fn try_sweep<T, R>(
     threads: usize,
     items: &[T],
-    make_ctx: impl Fn() -> W + Sync,
-    f: impl Fn(&mut W, usize, &T) -> R + Sync,
+    f: impl Fn(usize, &T) -> R + Sync,
 ) -> Vec<Result<R, String>>
 where
     T: Sync,
     R: Send,
 {
-    try_sweep_observed(threads, items, make_ctx, f, &Obs::disabled())
+    run(threads, items, f, &Obs::disabled())
 }
 
-/// [`try_sweep`] recording into an observability sink: one
-/// `exec.sweep` span over the whole run, one `exec.worker` span per
-/// worker whose `items` argument is the number of items that worker
-/// pulled from the shared cursor (the per-worker distribution — a
-/// starved worker shows few items against a long span, which is what
-/// steal contention looks like under dynamic scheduling). Only the
-/// [`Counter::ExecItems`] total is deterministic; the per-worker
-/// distribution is inherently racy and stays in span args.
-pub fn try_sweep_observed<T, R, W>(
+/// The sweep behind every entry point, recording into `obs` as
+/// [`sweep_observed`] describes.
+fn run<T, R>(
     threads: usize,
     items: &[T],
-    make_ctx: impl Fn() -> W + Sync,
-    f: impl Fn(&mut W, usize, &T) -> R + Sync,
+    f: impl Fn(usize, &T) -> R + Sync,
     obs: &Obs,
 ) -> Vec<Result<R, String>>
 where
@@ -135,13 +120,11 @@ where
     let sweep_span = obs.begin("exec.sweep");
     let results = if threads <= 1 {
         let worker_span = obs.begin("exec.worker");
-        let mut ctx = make_ctx();
         let out: Vec<Result<R, String>> = items
             .iter()
             .enumerate()
             .map(|(i, item)| {
-                let r =
-                    catch_unwind(AssertUnwindSafe(|| f(&mut ctx, i, item))).map_err(render_payload);
+                let r = catch_unwind(AssertUnwindSafe(|| f(i, item))).map_err(render_payload);
                 obs.add(Counter::ExecItems, 1);
                 r
             })
@@ -157,14 +140,13 @@ where
                 s.spawn(|| {
                     let worker_span = obs.begin("exec.worker");
                     let mut pulled = 0u64;
-                    let mut ctx = make_ctx();
                     loop {
                         let i = cursor.fetch_add(1, Ordering::Relaxed);
                         if i >= n {
                             break;
                         }
                         pulled += 1;
-                        let result = catch_unwind(AssertUnwindSafe(|| f(&mut ctx, i, &items[i])))
+                        let result = catch_unwind(AssertUnwindSafe(|| f(i, &items[i])))
                             .map_err(render_payload);
                         obs.add(Counter::ExecItems, 1);
                         *slots[i].lock().expect("slot lock") = Some(result);
@@ -184,65 +166,9 @@ where
     results
 }
 
-/// [`try_sweep`] with a per-worker context, failing the whole sweep with
-/// a labelled [`SweepPanic`] if any item panicked (lowest index wins; all
-/// items still run first, so the choice is thread-count independent).
-///
-/// # Errors
-///
-/// [`SweepPanic`] for the lowest-indexed panicking item.
-pub fn sweep_with<T, R, W>(
-    threads: usize,
-    items: &[T],
-    make_ctx: impl Fn() -> W + Sync,
-    label: impl Fn(usize, &T) -> String,
-    f: impl Fn(&mut W, usize, &T) -> R + Sync,
-) -> Result<Vec<R>, SweepPanic>
-where
-    T: Sync,
-    R: Send,
-{
-    sweep_with_observed(threads, items, make_ctx, label, f, &Obs::disabled())
-}
-
-/// [`sweep_with`] recording into an observability sink (see
-/// [`try_sweep_observed`] for what is recorded).
-///
-/// # Errors
-///
-/// [`SweepPanic`] for the lowest-indexed panicking item.
-pub fn sweep_with_observed<T, R, W>(
-    threads: usize,
-    items: &[T],
-    make_ctx: impl Fn() -> W + Sync,
-    label: impl Fn(usize, &T) -> String,
-    f: impl Fn(&mut W, usize, &T) -> R + Sync,
-    obs: &Obs,
-) -> Result<Vec<R>, SweepPanic>
-where
-    T: Sync,
-    R: Send,
-{
-    let mut out = Vec::with_capacity(items.len());
-    for (i, result) in try_sweep_observed(threads, items, make_ctx, f, obs)
-        .into_iter()
-        .enumerate()
-    {
-        match result {
-            Ok(r) => out.push(r),
-            Err(payload) => {
-                return Err(SweepPanic {
-                    index: i,
-                    label: label(i, &items[i]),
-                    payload,
-                })
-            }
-        }
-    }
-    Ok(out)
-}
-
-/// Context-free [`sweep_with`]: the plain deterministic parallel map.
+/// [`try_sweep`] failing the whole sweep with a labelled [`SweepPanic`]
+/// if any item panicked (lowest index wins; all items still run first,
+/// so the choice is thread-count independent).
 ///
 /// # Errors
 ///
@@ -257,11 +183,17 @@ where
     T: Sync,
     R: Send,
 {
-    sweep_with(threads, items, || (), label, |(), i, item| f(i, item))
+    sweep_observed(threads, items, label, f, &Obs::disabled())
 }
 
-/// [`sweep`] recording into an observability sink (see
-/// [`try_sweep_observed`] for what is recorded).
+/// [`sweep`] recording into an observability sink: one `exec.sweep`
+/// span over the whole run, one `exec.worker` span per worker whose
+/// `items` argument is the number of items that worker pulled from the
+/// shared cursor (the per-worker distribution — a starved worker shows
+/// few items against a long span, which is what steal contention looks
+/// like under dynamic scheduling). Only the [`Counter::ExecItems`] total
+/// is deterministic; the per-worker distribution is inherently racy and
+/// stays in span args.
 ///
 /// # Errors
 ///
@@ -277,7 +209,20 @@ where
     T: Sync,
     R: Send,
 {
-    sweep_with_observed(threads, items, || (), label, |(), i, item| f(i, item), obs)
+    let mut out = Vec::with_capacity(items.len());
+    for (i, result) in run(threads, items, f, obs).into_iter().enumerate() {
+        match result {
+            Ok(r) => out.push(r),
+            Err(payload) => {
+                return Err(SweepPanic {
+                    index: i,
+                    label: label(i, &items[i]),
+                    payload,
+                })
+            }
+        }
+    }
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -345,43 +290,17 @@ mod tests {
     fn all_items_run_despite_panics() {
         let ran = AtomicUsize::new(0);
         let items: Vec<u32> = (0..50).collect();
-        let results = try_sweep(
-            4,
-            &items,
-            || (),
-            |(), _, &x| {
-                ran.fetch_add(1, Ordering::Relaxed);
-                if x == 0 {
-                    panic!("first item");
-                }
-                x
-            },
-        );
+        let results = try_sweep(4, &items, |_, &x| {
+            ran.fetch_add(1, Ordering::Relaxed);
+            if x == 0 {
+                panic!("first item");
+            }
+            x
+        });
         assert_eq!(ran.load(Ordering::Relaxed), 50);
         assert_eq!(results.len(), 50);
         assert!(results[0].is_err());
         assert!(results[1..].iter().all(|r| r.is_ok()));
-    }
-
-    #[test]
-    fn worker_contexts_are_reused_across_items() {
-        // Each worker's context counts the items it processed; the sum
-        // over workers must equal the item count (every item touched a
-        // context exactly once), and with 1 thread a single context sees
-        // everything — i.e. the context genuinely persists across items.
-        let items: Vec<u32> = (0..40).collect();
-        let results = sweep_with(
-            1,
-            &items,
-            || 0usize,
-            |i, _| i.to_string(),
-            |seen, _, &x| {
-                *seen += 1;
-                (*seen, x)
-            },
-        )
-        .unwrap();
-        assert_eq!(results.last().unwrap().0, 40);
     }
 
     #[test]

@@ -37,8 +37,5 @@ pub mod executor;
 pub mod tier;
 
 pub use cache::{CacheKey, CacheStats, ContentCache, KeyBuilder, KeySink};
-pub use executor::{
-    resolve_threads, sweep, sweep_observed, sweep_with, sweep_with_observed, try_sweep,
-    try_sweep_observed, SweepPanic,
-};
-pub use tier::{CacheTier, DiskTier, TierGrade, TierLoad, TierStats, TieredCache, TieredStats};
+pub use executor::{resolve_threads, sweep, sweep_observed, try_sweep, SweepPanic};
+pub use tier::{DiskTier, TierGrade, TierStats, TieredCache, TieredStats};

@@ -1,10 +1,10 @@
-//! Cache tiering: a persistence contract behind [`ContentCache`].
+//! Cache tiering: a persistent layer behind [`ContentCache`].
 //!
 //! The in-memory [`ContentCache`] answers warm lookups in microseconds
-//! but dies with the process. A [`CacheTier`] is the slower layer
-//! consulted on a memory miss: [`DiskTier`] persists encoded payloads
-//! in shard-per-prefix directories keyed by the same 128-bit content
-//! hash, and [`TieredCache`] composes memory-over-disk with exact
+//! but dies with the process. [`DiskTier`] is the slower layer consulted
+//! on a memory miss: it persists encoded payloads in shard-per-prefix
+//! directories keyed by the same 128-bit content hash, and
+//! [`TieredCache`] composes memory-over-disk with exact
 //! hit/miss/promote accounting.
 //!
 //! # Shard layout and header
@@ -39,7 +39,7 @@ use crate::cache::{CacheKey, CacheStats, ContentCache};
 use std::fmt;
 use std::fs;
 use std::io::Write;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -47,9 +47,9 @@ use std::sync::Arc;
 /// version of the header itself, independent of the payload format tag.
 const HEADER_MAGIC: &str = "clasp-cache/1";
 
-/// Outcome of a [`CacheTier::load`].
+/// Outcome of a [`DiskTier`] load.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TierLoad {
+enum TierLoad {
     /// The tier held a complete, well-formed payload.
     Hit(String),
     /// The tier has no entry for the key (including format-tag
@@ -61,7 +61,7 @@ pub enum TierLoad {
     Error,
 }
 
-/// Counters of one persistent tier, sampled by [`CacheTier::stats`].
+/// Counters of one persistent tier.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TierStats {
     /// Loads that produced a payload.
@@ -74,24 +74,11 @@ pub struct TierStats {
     pub stores: u64,
 }
 
-/// A persistence layer consulted below the in-memory tier: loads and
-/// stores opaque UTF-8 payloads by content key. Implementations must be
-/// safe to share across threads and must never panic on malformed
-/// stored data — corruption degrades to [`TierLoad::Error`].
-pub trait CacheTier: Send + Sync {
-    /// Fetch the payload stored for `key`, if any.
-    fn load(&self, key: CacheKey) -> TierLoad;
-    /// Persist `payload` for `key`. Failures are recorded in the
-    /// tier's error counter, not returned: the memory tier already
-    /// holds the value, so a failed store only costs a future recompute.
-    fn store(&self, key: CacheKey, payload: &str);
-    /// Sample the tier's counters.
-    fn stats(&self) -> TierStats;
-}
-
-/// The on-disk [`CacheTier`]: shard-per-prefix directories under a
-/// root, atomic write-then-rename, versioned header. See the module
-/// docs for the layout.
+/// The persistent tier below memory: opaque UTF-8 payloads by content
+/// key in shard-per-prefix directories under a root, atomic
+/// write-then-rename, versioned header. See the module docs for the
+/// layout. Safe to share across threads; malformed stored data never
+/// panics, it degrades to a counted error.
 pub struct DiskTier {
     root: PathBuf,
     format_tag: String,
@@ -133,11 +120,6 @@ impl DiskTier {
         })
     }
 
-    /// The directory this tier persists into.
-    pub fn root(&self) -> &Path {
-        &self.root
-    }
-
     fn shard_dir(&self, key: CacheKey) -> PathBuf {
         self.root
             .join(format!("{:02x}", (key.value() >> 120) as u8))
@@ -172,9 +154,8 @@ impl DiskTier {
         let payload = std::str::from_utf8(payload).map_err(|_| ())?;
         Ok(Some(payload.to_string()))
     }
-}
 
-impl CacheTier for DiskTier {
+    /// Fetch the payload stored for `key`, if any.
     fn load(&self, key: CacheKey) -> TierLoad {
         let path = self.entry_path(key);
         let bytes = match fs::read(&path) {
@@ -204,6 +185,9 @@ impl CacheTier for DiskTier {
         }
     }
 
+    /// Persist `payload` for `key`. Failures are recorded in the tier's
+    /// error counter, not returned: the memory tier already holds the
+    /// value, so a failed store only costs a future recompute.
     fn store(&self, key: CacheKey, payload: &str) {
         let result = (|| -> std::io::Result<()> {
             let dir = self.shard_dir(key);
@@ -236,6 +220,7 @@ impl CacheTier for DiskTier {
         }
     }
 
+    /// Sample the tier's counters.
     fn stats(&self) -> TierStats {
         TierStats {
             hits: self.hits.load(Ordering::Relaxed),
@@ -259,7 +244,7 @@ pub enum TierGrade {
     /// failed (corruption/IO) on the way — distinguishing "cold" from
     /// "degraded".
     Computed {
-        /// The persistent tier returned [`TierLoad::Error`] or the
+        /// The persistent tier failed to read the entry or the
         /// payload failed to decode.
         disk_error: bool,
     },
@@ -279,13 +264,13 @@ pub struct TieredStats {
 }
 
 /// Memory-over-disk composition: an in-memory [`ContentCache`] backed
-/// by an optional persistent [`CacheTier`]. Lookups check memory first;
+/// by an optional [`DiskTier`]. Lookups check memory first;
 /// on a memory miss the persistent tier is consulted, a decodable
 /// payload is *promoted* into memory, and only then does the compute
 /// run (encoding and storing its result through for the next process).
 pub struct TieredCache<V> {
     memory: ContentCache<V>,
-    disk: Option<Arc<dyn CacheTier>>,
+    disk: Option<DiskTier>,
     promotions: AtomicU64,
 }
 
@@ -309,17 +294,12 @@ impl<V> TieredCache<V> {
     }
 
     /// Memory over a persistent tier.
-    pub fn over(memory: ContentCache<V>, disk: Arc<dyn CacheTier>) -> TieredCache<V> {
+    pub fn over(memory: ContentCache<V>, disk: DiskTier) -> TieredCache<V> {
         TieredCache {
             memory,
             disk: Some(disk),
             promotions: AtomicU64::new(0),
         }
-    }
-
-    /// Whether a persistent tier is attached.
-    pub fn has_disk(&self) -> bool {
-        self.disk.is_some()
     }
 
     /// A memory-tier hit for `key`, counted as one; `None` otherwise,
@@ -450,20 +430,18 @@ mod tests {
     #[test]
     fn tiered_promotes_from_disk_then_serves_memory() {
         let root = tmpdir("promote");
-        let disk: Arc<dyn CacheTier> = Arc::new(DiskTier::open(&root, "t1").unwrap());
         let key = CacheKey::of(&["x"]);
 
         // First process: computes and persists.
-        let first: TieredCache<u64> = TieredCache::over(ContentCache::new(), Arc::clone(&disk));
+        let first: TieredCache<u64> =
+            TieredCache::over(ContentCache::new(), DiskTier::open(&root, "t1").unwrap());
         let (v, grade, _) = first.get_or_compute(key, |s| s.parse().ok(), |v| v.to_string(), || 42);
         assert_eq!(*v, 42);
         assert_eq!(grade, TierGrade::Computed { disk_error: false });
 
         // "Restart": fresh memory, same directory — disk hit, promoted.
-        let second: TieredCache<u64> = TieredCache::over(
-            ContentCache::new(),
-            Arc::new(DiskTier::open(&root, "t1").unwrap()),
-        );
+        let second: TieredCache<u64> =
+            TieredCache::over(ContentCache::new(), DiskTier::open(&root, "t1").unwrap());
         let (v, grade, _) = second.get_or_compute(
             key,
             |s| s.parse().ok(),
@@ -488,16 +466,16 @@ mod tests {
     #[test]
     fn undecodable_payload_recomputes_with_disk_error() {
         let root = tmpdir("undecodable");
-        let disk = Arc::new(DiskTier::open(&root, "t1").unwrap());
+        let disk = DiskTier::open(&root, "t1").unwrap();
         let key = CacheKey::of(&["x"]);
         disk.store(key, "not a number");
-        let cache: TieredCache<u64> =
-            TieredCache::over(ContentCache::new(), Arc::clone(&disk) as Arc<dyn CacheTier>);
+        let cache: TieredCache<u64> = TieredCache::over(ContentCache::new(), disk);
         let (v, grade, _) = cache.get_or_compute(key, |s| s.parse().ok(), |v| v.to_string(), || 7);
         assert_eq!(*v, 7);
         assert_eq!(grade, TierGrade::Computed { disk_error: true });
         // The recompute stored a good payload over the bad one.
-        assert_eq!(disk.load(key), TierLoad::Hit("7".to_string()));
+        let reopened = DiskTier::open(&root, "t1").unwrap();
+        assert_eq!(reopened.load(key), TierLoad::Hit("7".to_string()));
         let _ = fs::remove_dir_all(&root);
     }
 

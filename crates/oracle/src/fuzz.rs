@@ -114,24 +114,19 @@ pub fn run_fuzz(config: &FuzzConfig, pipeline: PipelineFn) -> FuzzReport {
         exact: config.exact,
     };
     let indices: Vec<usize> = (0..config.cases).collect();
-    let results = clasp_exec::try_sweep(
-        config.threads,
-        &indices,
-        || (),
-        |(), _, &index| {
-            let case = generate_case(config.seed, index);
-            let violations = check_case(&case.graph, &case.machine, pipeline, &opts);
-            let gap = if config.exact
-                && violations.is_empty()
-                && case.graph.node_count() <= EXACT_ORACLE_NODE_CAP
-            {
-                positive_gap(&case.graph, &case.machine, pipeline)
-            } else {
-                None
-            };
-            (case, violations, gap)
-        },
-    );
+    let results = clasp_exec::try_sweep(config.threads, &indices, |_, &index| {
+        let case = generate_case(config.seed, index);
+        let violations = check_case(&case.graph, &case.machine, pipeline, &opts);
+        let gap = if config.exact
+            && violations.is_empty()
+            && case.graph.node_count() <= EXACT_ORACLE_NODE_CAP
+        {
+            positive_gap(&case.graph, &case.machine, pipeline)
+        } else {
+            None
+        };
+        (case, violations, gap)
+    });
     let mut report = FuzzReport::default();
     for (index, result) in results.into_iter().enumerate() {
         report.checked += 1;

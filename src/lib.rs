@@ -54,7 +54,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-mod cached;
 pub mod codec;
 mod driver;
 pub mod load;
@@ -63,7 +62,6 @@ pub mod serve;
 pub mod service;
 pub mod strata;
 
-pub use cached::{CachedCompile, CompileCache};
 pub use codec::{CodecError, ARTIFACT_FORMAT};
 pub use driver::{
     compile_full, compile_full_observed, oracle_pipeline, BackendKind, CompileReport,
@@ -73,7 +71,10 @@ pub use pipeline::{
     compare_with_unified, compile_loop, compile_loop_post, unified_ii, CompiledLoop,
     PipelineConfig, PipelineError,
 };
-pub use service::{CompileService, ServiceConfig, ServiceError, ServiceReply, ServiceRequest};
+pub use service::{
+    CachedCompile, CompileCache, CompileService, ServiceConfig, ServiceError, ServiceReply,
+    ServiceRequest,
+};
 
 pub use clasp_core as core;
 pub use clasp_ddg as ddg;

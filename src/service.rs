@@ -4,8 +4,8 @@
 //!
 //! A [`CompileService`] owns:
 //!
-//! - the tiered [`CompileCache`](crate::CompileCache) for full-driver
-//!   artifacts (memory over an optional persistent directory),
+//! - one tiered cache of full-driver results (memory over an optional
+//!   persistent directory), holding the two key spaces below,
 //! - one phase-2 memo table for callers that only need IIs (the
 //!   experiment harness compiles thousands of loops but never emits a
 //!   kernel — caching the full artifact would be pure waste),
@@ -13,6 +13,37 @@
 //!   daemon under fan-in degrades to queueing rather than thrashing.
 //!   Every entry point looks up first and admits only a miss's
 //!   compute, so a hit never queues behind a cold compile.
+//!
+//! **In-process keys** ([`CompileService::key`]) hash three canonical
+//! texts — [`clasp_text::write_loop`] of the graph, the machine
+//! description with its display name normalized out, and the `Debug`
+//! rendering of the [`CompileRequest`] — streamed through a
+//! [`KeyBuilder`], so a warm lookup allocates nothing
+//! (`tests/alloc_free.rs`). Two requests collide exactly when nothing
+//! the pipeline can observe differs: the loop text round-trips
+//! everything the pipeline reads, no stage reads the machine name (so
+//! `4c-gp-4b-2p`'s unified equivalent and an identically shaped
+//! `unified` preset share one entry), and `CompileRequest` is `Copy +
+//! Debug` with no interior state. These entries hold the decoded
+//! artifact, shared behind an `Arc`.
+//!
+//! **Wire keys** hash a tag part, then the daemon request *as received*:
+//! its loop text, its machine text and the parsed `CompileRequest`. A
+//! warm wire lookup therefore parses and renders nothing, and its reply
+//! is a pure function of the request (a machine named `bar` is never
+//! answered with a cached `foo`). These entries hold only the canonical
+//! [`crate::codec`] payload a reply is rendered from, so the memory
+//! budget — which charges every entry its payload length — bounds what a
+//! daemon really holds. The tag part keeps a wire key from ever equalling
+//! an in-process key, even for a request whose texts are exactly the
+//! canonical ones.
+//!
+//! Results, failures included, are memoized, and hit/miss counters are
+//! deterministic under thread contention (see [`clasp_exec::cache`]).
+//! With a persistent tier, every computed result is stored through the
+//! codec and later processes are served from disk (a *promotion*, which
+//! decodes the payload once), with the outcome ticked into the
+//! `cache.*` counters.
 //!
 //! The service also defines the *wire* request/response shape shared
 //! with the `clasp-serve` daemon: a [`ServiceRequest`] carries the
@@ -22,27 +53,38 @@
 //! payload (bit-identical whether computed, served from memory, or
 //! promoted from disk) plus the optional Chrome trace JSON. Both render
 //! to and parse from plain text, so the TCP layer in [`crate::serve`]
-//! only moves opaque frames. Wire requests are cached under their own
-//! key space (see the `cached` module): a repeated request costs a hash, a
-//! lookup and a copy of the stored payload bytes, and its reply is a
-//! pure function of the request.
+//! only moves opaque frames.
 
-use crate::cached::{CachedCompile, CompileCache, Entry};
 use crate::codec;
-use crate::driver::{BackendKind, CompileRequest, RegisterModelKind};
-use crate::pipeline::{compile_loop, unified_ii, PipelineConfig};
+use crate::driver::{
+    compile_full_observed, BackendKind, CompileRequest, CompiledArtifact, RegisterModelKind,
+};
+use crate::pipeline::{compile_loop, unified_ii, PipelineConfig, PipelineError};
 use clasp_core::Ordering;
 use clasp_ddg::Ddg;
-use clasp_exec::{ContentCache, KeyBuilder, TieredStats};
+use clasp_exec::{
+    CacheKey, CacheStats, ContentCache, DiskTier, KeyBuilder, TierGrade, TieredCache, TieredStats,
+};
 use clasp_machine::MachineSpec;
-use clasp_obs::Obs;
+use clasp_obs::{Counter, Obs, Span};
 use clasp_sched::{SchedulerConfig, SchedulerKind};
+use std::borrow::Cow;
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex};
 
 /// First line of every wire request and reply.
 pub const PROTOCOL: &str = "clasp-serve/1";
+
+/// First part of every wire key (see the module docs).
+const WIRE_KEY_TAG: &str = "clasp-serve request";
+
+/// A memoized result: the artifact or the pipeline's refusal.
+pub type CachedCompile = Arc<Result<CompiledArtifact, PipelineError>>;
+
+/// The service's former cache-layer name, kept while `perfbench` still
+/// calls `CompileCache::key` (that is, [`CompileService::key`]).
+pub type CompileCache = CompileService;
 
 /// How to build a [`CompileService`].
 #[derive(Debug, Clone, Default)]
@@ -51,9 +93,11 @@ pub struct ServiceConfig {
     /// thread). Requests beyond the limit queue deterministically on
     /// the gate rather than oversubscribing the machine.
     pub threads: usize,
-    /// Byte budget for the in-memory artifact tier (`None` = unbounded),
-    /// charged at each entry's canonical payload length. Daemon entries
-    /// hold just that payload, so for a daemon it bounds what is held.
+    /// Byte budget for the in-memory artifact tier (`None` = unbounded).
+    /// Every entry is charged its canonical payload length. A wire entry
+    /// holds just that payload, so the budget bounds what a daemon holds;
+    /// an in-process entry holds the decoded artifact, which is larger
+    /// than the bytes charged for it.
     pub memory_budget: Option<usize>,
     /// Directory for the persistent artifact tier (`None` = memory only).
     pub cache_dir: Option<PathBuf>,
@@ -115,10 +159,29 @@ impl Drop for GatePermit<'_> {
     }
 }
 
+/// One artifact-tier entry: the decoded artifact for an in-process key,
+/// the canonical payload for a wire key.
+enum Entry {
+    Artifact(CachedCompile),
+    Payload(Box<str>),
+}
+
+impl Entry {
+    /// The canonical payload: stored for a wire entry, encoded for an
+    /// artifact (the tier's byte weight and disk store on a miss).
+    fn payload(&self, iterations: i64) -> Cow<'_, str> {
+        match self {
+            Entry::Payload(payload) => Cow::Borrowed(payload),
+            Entry::Artifact(result) => Cow::Owned(codec::encode(result, iterations)),
+        }
+    }
+}
+
 /// The service facade: tiered artifact cache + phase-2 II memo table +
 /// admission gate. See the module docs.
 pub struct CompileService {
-    full: CompileCache,
+    /// In-process and wire entries alike (see the module docs).
+    full: TieredCache<Entry>,
     /// Clustered and unified IIs alike; every key starts with its kind.
     phase2: ContentCache<Option<u32>>,
     gate: Gate,
@@ -127,23 +190,25 @@ pub struct CompileService {
 impl fmt::Debug for CompileService {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("CompileService")
-            .field("stats", &self.tiered_stats())
-            .field("has_disk", &self.has_disk())
+            .field("full", &self.full)
             .finish()
     }
 }
 
 impl CompileService {
     /// Build a service from `config`, opening (or creating) the
-    /// persistent tier when a directory is configured.
+    /// persistent tier when a directory is configured. The tier is
+    /// tagged with [`crate::ARTIFACT_FORMAT`], so payloads from an older
+    /// codec read as misses, never as corruption.
     ///
     /// # Errors
     ///
     /// An [`std::io::Error`] if the cache directory cannot be created.
     pub fn new(config: ServiceConfig) -> std::io::Result<CompileService> {
-        let disk = match &config.cache_dir {
-            Some(dir) => Some(CompileCache::open_disk_tier(dir)?),
-            None => None,
+        let memory = ContentCache::with_budget(config.memory_budget);
+        let full = match &config.cache_dir {
+            Some(dir) => TieredCache::over(memory, DiskTier::open(dir, codec::ARTIFACT_FORMAT)?),
+            None => TieredCache::memory_only(memory),
         };
         let width = if config.threads == 0 {
             std::thread::available_parallelism().map_or(1, |n| n.get())
@@ -151,7 +216,7 @@ impl CompileService {
             config.threads
         };
         Ok(CompileService {
-            full: CompileCache::with_limits(config.memory_budget, disk),
+            full,
             phase2: ContentCache::new(),
             gate: Gate::new(width),
         })
@@ -162,14 +227,37 @@ impl CompileService {
         CompileService::new(ServiceConfig::default()).expect("no IO without a cache dir")
     }
 
-    /// Whether a persistent tier is attached.
-    pub fn has_disk(&self) -> bool {
-        self.full.has_disk()
+    /// The in-process key for one compile (see the module docs). Streams
+    /// every canonical text straight into the hasher — no intermediate
+    /// strings.
+    pub fn key(g: &Ddg, machine: &MachineSpec, req: &CompileRequest) -> CacheKey {
+        let mut kb = KeyBuilder::new();
+        kb.stream(|s| {
+            let _ = clasp_text::write_loop_into(g, s);
+        });
+        // The display name is presentation only: normalize it out so
+        // identically shaped machines share an entry.
+        kb.stream(|s| {
+            let _ = clasp_text::write_machine_named_into(machine, "#", s);
+        });
+        kb.stream(|s| {
+            use std::fmt::Write as _;
+            let _ = write!(s, "{req:?}");
+        });
+        kb.finish()
     }
 
-    /// Full-driver compile through the tiered cache (see
-    /// [`CompileCache::compile_observed`]); only a miss's compile is
-    /// gated by admission.
+    /// Full-driver compile through the tiered cache: the first request
+    /// for a key runs [`compile_full`](crate::compile_full) (a miss),
+    /// every later one shares its result (a hit), and concurrent
+    /// requests for a cold key wait on the one in-flight compile. Only a
+    /// miss's compile is gated by admission.
+    ///
+    /// Records a `cache.lookup` span with the key and its
+    /// `hit`/`disk`/`miss` outcome (a cold key's duration includes the
+    /// compile), the matching cache counters, and the compile's own
+    /// spans and counters on a miss. The compile runs once per key, so
+    /// the folded counters stay deterministic across thread counts.
     pub fn compile_artifact(
         &self,
         g: &Ddg,
@@ -177,8 +265,40 @@ impl CompileService {
         req: &CompileRequest,
         obs: &Obs,
     ) -> CachedCompile {
-        self.full
-            .compile_admitted(g, machine, req, obs, || self.gate.acquire())
+        let iterations = req.iterations;
+        let entry = self.lookup(
+            Self::key(g, machine, req),
+            obs,
+            |payload| Some(Entry::Artifact(Arc::new(codec::decode(payload).ok()?))),
+            |entry| entry.payload(iterations).into_owned(),
+            || {
+                let _permit = self.gate.acquire();
+                Entry::Artifact(Arc::new(compile_full_observed(g, machine, req, obs)))
+            },
+        );
+        match &*entry {
+            Entry::Artifact(result) => Arc::clone(result),
+            // Only a 128-bit collision with a wire key lands here; stored
+            // payloads were encoded here or validated on promotion.
+            Entry::Payload(payload) => {
+                Arc::new(codec::decode(payload).expect("a stored payload decodes"))
+            }
+        }
+    }
+
+    /// One tier lookup inside a `cache.lookup` span.
+    fn lookup(
+        &self,
+        key: CacheKey,
+        obs: &Obs,
+        decode: impl FnOnce(&str) -> Option<Entry>,
+        encode: impl FnOnce(&Entry) -> String,
+        compute: impl FnOnce() -> Entry,
+    ) -> Arc<Entry> {
+        let span = obs.begin("cache.lookup");
+        let (value, grade, evicted) = self.full.get_or_compute(key, decode, encode, compute);
+        record(obs, span, key, grade, evicted);
+        value
     }
 
     /// Phase-1+2 II only (no emission, no artifact): the experiment
@@ -274,16 +394,25 @@ impl CompileService {
 
     /// The wire path behind [`CompileService::handle`] and
     /// [`CompileService::respond`]: the tier entry holding the reply's
-    /// payload, or a bad-request message, plus the captured trace.
+    /// payload, or a bad-request message, plus the captured trace. A
+    /// memory hit costs the wire key's hash and the lookup; only a miss
+    /// parses the texts, and then promotes the payload from disk
+    /// (decoding it once to validate it) or compiles under admission,
+    /// keeping only the canonical payload.
     fn serve(&self, sreq: &ServiceRequest) -> (Result<Arc<Entry>, String>, Option<String>) {
         let obs = if sreq.capture_trace {
             Obs::enabled()
         } else {
             Obs::disabled()
         };
-        let key = CompileCache::wire_key(&sreq.loop_text, &sreq.machine_text, &sreq.request);
-        let entry = match self.full.wire_hit(key, &obs) {
-            Some(entry) => entry,
+        let key = wire_key(&sreq.loop_text, &sreq.machine_text, &sreq.request);
+        let span = obs.begin("cache.lookup");
+        // A memory miss counts nothing until the lookup below.
+        let entry = match self.full.get(key) {
+            Some(entry) => {
+                record(&obs, span, key, TierGrade::Memory, 0);
+                entry
+            }
             None => {
                 let g = match clasp_text::parse_loop(&sreq.loop_text) {
                     Ok(g) => g,
@@ -293,23 +422,35 @@ impl CompileService {
                     Ok(m) => m,
                     Err(e) => return (Err(format!("machine: {e}")), None),
                 };
-                self.full
-                    .wire_compute(key, &g, &machine, &sreq.request, &obs, || {
-                        self.gate.acquire()
-                    })
+                let iterations = sreq.request.iterations;
+                self.lookup(
+                    key,
+                    &obs,
+                    |payload| {
+                        codec::decode(payload)
+                            .is_ok()
+                            .then(|| Entry::Payload(payload.into()))
+                    },
+                    |entry| entry.payload(iterations).into_owned(),
+                    || {
+                        let _permit = self.gate.acquire();
+                        let result = compile_full_observed(&g, &machine, &sreq.request, &obs);
+                        Entry::Payload(codec::encode(&result, iterations).into_boxed_str())
+                    },
+                )
             }
         };
         (Ok(entry), sreq.capture_trace.then(|| obs.chrome_trace()))
     }
 
     /// In-memory artifact-tier counters.
-    pub fn stats(&self) -> clasp_exec::CacheStats {
-        self.full.stats()
+    pub fn stats(&self) -> CacheStats {
+        self.full.stats().memory
     }
 
-    /// Counters for every artifact tier.
+    /// Counters for every artifact tier (memory, disk, promotions).
     pub fn tiered_stats(&self) -> TieredStats {
-        self.full.tiered_stats()
+        self.full.stats()
     }
 
     /// One-line counter rendering for the daemon's `stats` verb.
@@ -328,14 +469,52 @@ impl CompileService {
     }
 }
 
+/// The wire key for one daemon request: a tag part, then the loop and
+/// machine texts as received and the parsed request knobs.
+fn wire_key(loop_text: &str, machine_text: &str, req: &CompileRequest) -> CacheKey {
+    let mut kb = KeyBuilder::new();
+    kb.text(WIRE_KEY_TAG);
+    kb.text(loop_text);
+    kb.text(machine_text);
+    kb.stream(|s| {
+        use std::fmt::Write as _;
+        let _ = write!(s, "{req:?}");
+    });
+    kb.finish()
+}
+
+/// Close a lookup's span with its key and outcome, ticking the matching
+/// cache counters.
+fn record(obs: &Obs, span: Span, key: CacheKey, grade: TierGrade, evicted: u64) {
+    let outcome = match grade {
+        TierGrade::Memory => {
+            obs.add(Counter::CacheHits, 1);
+            "hit"
+        }
+        TierGrade::Disk => {
+            obs.add(Counter::CacheDiskHits, 1);
+            obs.add(Counter::CachePromotions, 1);
+            "disk"
+        }
+        TierGrade::Computed { disk_error } => {
+            obs.add(Counter::CacheMisses, 1);
+            if disk_error {
+                obs.add(Counter::CacheDiskErrors, 1);
+            }
+            "miss"
+        }
+    };
+    if evicted > 0 {
+        obs.add(Counter::CacheEvictions, evicted);
+    }
+    obs.end_with(span, || {
+        vec![("key", key.to_string()), ("outcome", outcome.to_string())]
+    });
+}
+
 /// The phase-2 memo key: kind discriminator, loop text, nameless
 /// machine text, config rendering — all streamed.
-fn phase2_key(
-    kind: &str,
-    g: &Ddg,
-    machine: &MachineSpec,
-    config_text: &str,
-) -> clasp_exec::CacheKey {
+fn phase2_key(kind: &str, g: &Ddg, machine: &MachineSpec, config_text: &str) -> CacheKey {
     let mut kb = KeyBuilder::new();
     kb.text(kind);
     kb.stream(|s| {
@@ -717,6 +896,7 @@ fn render_reply(outcome: Result<&str, &str>, trace: Option<&str>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use clasp_ddg::OpKind;
     use clasp_machine::presets;
 
     const LOOP: &str = "loop dot\n\nop n0 load\nop n1 load\nop n2 fmul\nop n3 fadd\n\ndep n0 -> n2\ndep n1 -> n2\ndep n2 -> n3\ndep n3 -> n3 @1\n";
@@ -876,5 +1056,166 @@ mod tests {
         assert!(u1.is_some());
         // Full-artifact tier untouched by phase-2 queries.
         assert_eq!(service.stats().misses, 0);
+    }
+
+    fn small_loop(name: &str) -> Ddg {
+        let mut g = Ddg::new(name);
+        let a = g.add(OpKind::Load);
+        let b = g.add(OpKind::IntAlu);
+        g.add_dep(a, b);
+        g
+    }
+
+    fn compile(service: &CompileService, g: &Ddg, m: &MachineSpec) -> CachedCompile {
+        service.compile_artifact(g, m, &CompileRequest::default(), &Obs::disabled())
+    }
+
+    #[test]
+    fn second_compile_is_a_hit_and_shares_the_artifact() {
+        let service = CompileService::in_memory();
+        let g = small_loop("memo");
+        let m = presets::two_cluster_gp(2, 1);
+        let first = compile(&service, &g, &m);
+        let second = compile(&service, &g, &m);
+        assert!(Arc::ptr_eq(&first, &second), "hit must share the entry");
+        let stats = service.stats();
+        assert_eq!((stats.hits, stats.misses), (1, 1));
+        assert_eq!(
+            first.as_ref().as_ref().unwrap().ii(),
+            second.as_ref().as_ref().unwrap().ii()
+        );
+    }
+
+    #[test]
+    fn key_ignores_machine_name_but_not_shape() {
+        let g = small_loop("k");
+        let req = CompileRequest::default();
+        let m = presets::two_cluster_gp(2, 1);
+        let renamed = MachineSpec::new(
+            "same-shape-other-name",
+            m.cluster_ids().map(|c| *m.cluster(c)).collect(),
+            m.interconnect().clone(),
+        );
+        assert_eq!(
+            CompileService::key(&g, &m, &req),
+            CompileService::key(&g, &renamed, &req)
+        );
+        let wider = presets::four_cluster_gp(4, 2);
+        assert_ne!(
+            CompileService::key(&g, &m, &req),
+            CompileService::key(&g, &wider, &req)
+        );
+    }
+
+    #[test]
+    fn key_separates_loops_and_requests() {
+        let m = presets::two_cluster_gp(2, 1);
+        let req = CompileRequest::default();
+        let a = small_loop("a");
+        let b = small_loop("b");
+        assert_ne!(
+            CompileService::key(&a, &m, &req),
+            CompileService::key(&b, &m, &req)
+        );
+        let other_req = CompileRequest {
+            restage: false,
+            ..CompileRequest::default()
+        };
+        assert_ne!(
+            CompileService::key(&a, &m, &req),
+            CompileService::key(&a, &m, &other_req)
+        );
+    }
+
+    #[test]
+    fn unified_equivalent_hits_an_identically_shaped_preset() {
+        // The content-addressed promise: 2c-gp's unified equivalent (8
+        // GP units, no interconnect) is the same machine as the
+        // `unified` preset, whatever either is called.
+        let g = small_loop("u");
+        let req = CompileRequest::default();
+        let equiv = presets::two_cluster_gp(2, 1).unified_equivalent();
+        let preset = presets::unified_gp(8);
+        assert_eq!(
+            CompileService::key(&g, &equiv, &req),
+            CompileService::key(&g, &preset, &req)
+        );
+        let service = CompileService::in_memory();
+        compile(&service, &g, &preset);
+        compile(&service, &g, &equiv);
+        let stats = service.stats();
+        assert_eq!((stats.hits, stats.misses), (1, 1));
+    }
+
+    #[test]
+    fn failures_are_memoized_too() {
+        // A float op on an integer-only machine fails; the second
+        // request must not re-run the pipeline.
+        let mut g = Ddg::new("fp");
+        g.add(OpKind::FpAdd);
+        let m = MachineSpec::new(
+            "int-only",
+            vec![clasp_machine::ClusterSpec::specialized(1, 2, 0)],
+            clasp_machine::Interconnect::None,
+        );
+        let service = CompileService::in_memory();
+        assert!(compile(&service, &g, &m).is_err());
+        assert!(compile(&service, &g, &m).is_err());
+        let stats = service.stats();
+        assert_eq!((stats.hits, stats.misses), (1, 1));
+    }
+
+    #[test]
+    fn disk_tier_serves_a_second_cache_instance() {
+        // Two services sharing one directory model a process restart:
+        // the second is served by promotion, not recompute, and the
+        // served artifact is bit-identical to the computed one.
+        let dir =
+            std::env::temp_dir().join(format!("clasp-service-restart-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let open = || {
+            CompileService::new(ServiceConfig {
+                cache_dir: Some(dir.clone()),
+                ..ServiceConfig::default()
+            })
+            .unwrap()
+        };
+        let g = small_loop("persist");
+        let m = presets::two_cluster_gp(2, 1);
+        let req = CompileRequest::default();
+
+        let cold = open();
+        let first = compile(&cold, &g, &m);
+        assert_eq!(cold.tiered_stats().disk.misses, 1);
+
+        let warm = open();
+        let second = compile(&warm, &g, &m);
+        let stats = warm.tiered_stats();
+        assert_eq!((stats.disk.hits, stats.promotions), (1, 1));
+        assert_eq!(stats.memory.misses, 1, "memory tier still misses once");
+        let a = first.as_ref().as_ref().unwrap();
+        let b = second.as_ref().as_ref().unwrap();
+        assert_eq!(
+            codec::encode(&Ok(a.clone()), req.iterations),
+            codec::encode(&Ok(b.clone()), req.iterations),
+            "promoted artifact must round-trip bit-identically"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn streamed_key_matches_eager_texts() {
+        // The streaming KeyBuilder must key on exactly the canonical
+        // texts the eager path would produce.
+        let g = small_loop("stream");
+        let m = presets::four_cluster_gp(4, 2);
+        let req = CompileRequest::default();
+        let mut kb = KeyBuilder::new();
+        kb.text(&clasp_text::write_loop(&g));
+        let mut machine_text = String::new();
+        clasp_text::write_machine_named_into(&m, "#", &mut machine_text).unwrap();
+        kb.text(&machine_text);
+        kb.text(&format!("{req:?}"));
+        assert_eq!(CompileService::key(&g, &m, &req), kb.finish());
     }
 }

@@ -1,9 +1,9 @@
 //! Pins two hot paths with a counting allocator.
 //!
-//! - The streaming cache-key claim from `src/cached.rs`: a warm
-//!   compile-cache lookup — key three canonical texts straight into the
-//!   hasher, hit the memory tier, clone the `Arc` — touches the
-//!   allocator zero times.
+//! - The streaming cache-key claim from `src/service.rs`: a warm
+//!   in-process `CompileService::compile_artifact` — key three canonical
+//!   texts straight into the hasher, hit the memory tier, clone the
+//!   `Arc` — touches the allocator zero times.
 //! - A warm daemon hit (`CompileService::respond` of a repeated request)
 //!   stays under a small fixed number of allocations: the request
 //!   parse's two texts and the reply. Re-parsing the loop or machine
@@ -12,7 +12,8 @@
 //! A counting global allocator wraps the system one. It counts per
 //! thread, so tests running concurrently cannot perturb each other.
 
-use clasp::{CompileCache, CompileRequest, CompileService, ServiceRequest};
+use clasp::obs::Obs;
+use clasp::{CompileRequest, CompileService, ServiceRequest};
 use clasp_ddg::{Ddg, OpKind};
 use clasp_machine::presets;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -71,15 +72,16 @@ fn warm_cache_lookups_do_not_allocate() {
     let machine = presets::four_cluster_gp(4, 2);
     let req = CompileRequest::default();
 
-    let cache = CompileCache::new();
+    let service = CompileService::in_memory();
+    let quiet = Obs::disabled();
     // Warm: the first call computes and installs, the second exercises
     // the hit path once so any lazy one-time setup has happened.
-    assert!(cache.compile(&g, &machine, &req).is_ok());
-    assert!(cache.compile(&g, &machine, &req).is_ok());
+    assert!(service.compile_artifact(&g, &machine, &req, &quiet).is_ok());
+    assert!(service.compile_artifact(&g, &machine, &req, &quiet).is_ok());
 
     let before = allocs();
     for _ in 0..100 {
-        let hit = cache.compile(&g, &machine, &req);
+        let hit = service.compile_artifact(&g, &machine, &req, &quiet);
         std::hint::black_box(&hit);
     }
     assert_eq!(
@@ -88,7 +90,7 @@ fn warm_cache_lookups_do_not_allocate() {
         "warm lookups must stream the key and share the Arc"
     );
 
-    let stats = cache.stats();
+    let stats = service.stats();
     assert_eq!(stats.misses, 1);
     assert_eq!(stats.hits, 101);
 }

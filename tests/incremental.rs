@@ -157,12 +157,9 @@ fn corpus_incremental_matches_cold_replay_and_is_thread_invariant() {
     let corpus = bench_corpus();
     let machine = presets::four_cluster_gp(4, 2);
     let sweep = |threads: usize| -> Vec<String> {
-        clasp_exec::try_sweep(
-            threads,
-            &corpus,
-            || (),
-            |(), _, g| check_loop(g, &machine, PipelineConfig::default()),
-        )
+        clasp_exec::try_sweep(threads, &corpus, |_, g| {
+            check_loop(g, &machine, PipelineConfig::default())
+        })
         .into_iter()
         .map(|r| r.expect("no equivalence check may panic"))
         .collect()
@@ -179,15 +176,10 @@ fn corpus_incremental_matches_cold_replay_and_is_thread_invariant() {
 fn fuzz_stream_incremental_matches_cold_replay() {
     const CASES: usize = 500;
     let indices: Vec<usize> = (0..CASES).collect();
-    let digests: Vec<String> = clasp_exec::try_sweep(
-        0,
-        &indices,
-        || (),
-        |(), _, &i| {
-            let case = generate_case(0, i);
-            check_loop(&case.graph, &case.machine, PipelineConfig::default())
-        },
-    )
+    let digests: Vec<String> = clasp_exec::try_sweep(0, &indices, |_, &i| {
+        let case = generate_case(0, i);
+        check_loop(&case.graph, &case.machine, PipelineConfig::default())
+    })
     .into_iter()
     .map(|r| r.expect("no equivalence check may panic"))
     .collect();

@@ -5,7 +5,7 @@
 
 use clasp::obs::{Counter, Obs, SpanRecord};
 use clasp::{
-    compile_full_observed, compile_loop, compile_loop_post, CompileCache, CompileRequest,
+    compile_full_observed, compile_loop, compile_loop_post, CompileRequest, CompileService,
     PipelineConfig, PipelineError,
 };
 use clasp_ddg::{Ddg, OpKind};
@@ -110,12 +110,12 @@ fn counters_are_thread_count_independent() {
     let req = CompileRequest::default();
     let run = |threads: usize| {
         let obs = Obs::enabled();
-        let cache = CompileCache::new();
+        let service = CompileService::in_memory();
         clasp_exec::sweep_observed(
             threads,
             &corpus,
             |_, g: &Ddg| g.name().to_string(),
-            |_, g| cache.compile_observed(g, &machine, &req, &obs).is_ok(),
+            |_, g| service.compile_artifact(g, &machine, &req, &obs).is_ok(),
             &obs,
         )
         .expect("sweep must not panic");
