@@ -22,8 +22,7 @@
 //! Every compile — `compile`, `simulate`, `batch`, and the fuzz
 //! oracle's — goes through the `CompileService` facade: a tiered
 //! content-addressed cache (`--cache-dir` adds a persistent tier whose
-//! artifacts survive the process; `--memory-budget` bounds the
-//! in-memory tier in bytes) behind an admission gate. With
+//! artifacts survive the process) behind an admission gate. With
 //! `--server HOST:PORT`, `compile`, `simulate` and `batch` send their
 //! requests to a running `clasp-serve` daemon instead and print from
 //! the returned canonical artifact — the output is bit-identical to a
@@ -97,7 +96,6 @@
 //!                         (load in Perfetto / chrome://tracing); also
 //!                         accepted by `batch`
 //!   --cache-dir <dir>     persistent compile-cache tier (also `batch`)
-//!   --memory-budget <n>   in-memory cache byte budget (also `batch`)
 //!   --server <host:port>  compile on a `clasp-serve` daemon (also `batch`)
 //! ```
 
@@ -128,7 +126,6 @@ struct Options {
     explain: bool,
     trace_json: Option<String>,
     cache_dir: Option<String>,
-    memory_budget: Option<usize>,
     server: Option<String>,
 }
 
@@ -149,53 +146,66 @@ impl Default for Options {
             explain: false,
             trace_json: None,
             cache_dir: None,
-            memory_budget: None,
             server: None,
         }
     }
 }
 
-/// The local compile service for one CLI invocation: persistent tier
-/// and memory budget straight from the flags, admission left at one
-/// compile per hardware thread.
-fn local_service(
-    cache_dir: Option<&str>,
-    memory_budget: Option<usize>,
-) -> Result<CompileService, String> {
+/// The local compile service for one CLI invocation: the persistent
+/// tier straight from `--cache-dir`, admission left at one compile per
+/// hardware thread.
+fn local_service(cache_dir: Option<&str>) -> Result<CompileService, String> {
     CompileService::new(ServiceConfig {
-        threads: 0,
-        memory_budget,
         cache_dir: cache_dir.map(Into::into),
+        ..ServiceConfig::default()
     })
     .map_err(|e| format!("opening cache dir: {e}"))
 }
 
-/// One compile on a `clasp-serve` daemon: canonical texts over the
-/// wire, canonical artifact back (with the trace JSON when `trace` is
-/// set). The decoded artifact is bit-identical to a local compile.
-fn remote_compile(
-    addr: &str,
+/// The one compile behind `compile` and `simulate`: on the `--server`
+/// daemon (canonical texts over the wire, canonical artifact back,
+/// bit-identical to a local compile) or through a local service, writing
+/// the `--trace-json` file either way. Also returns the span tree of a
+/// local compile under `--explain`; a daemon ships only the trace JSON.
+fn compile_one(
     g: &Ddg,
     machine: &MachineSpec,
     req: &CompileRequest,
-    trace: bool,
-) -> Result<
-    (
-        Result<CompiledArtifact, clasp::PipelineError>,
-        Option<String>,
-    ),
-    String,
-> {
-    let mut client = Client::connect(addr).map_err(|e| format!("{addr}: {e}"))?;
-    let mut sreq = ServiceRequest::new(
-        clasp_text::write_loop(g),
-        clasp_text::write_machine(machine),
-    );
-    sreq.request = *req;
-    sreq.capture_trace = trace;
-    let reply = client.compile(&sreq).map_err(|e| format!("{addr}: {e}"))?;
-    let result = reply.decode().map_err(|e| format!("{addr}: {e}"))?;
-    Ok((result, reply.trace))
+    opts: &Options,
+) -> Result<(CompiledArtifact, Option<String>), String> {
+    let (result, rendered) = if let Some(addr) = &opts.server {
+        let mut client = Client::connect(addr).map_err(|e| format!("{addr}: {e}"))?;
+        let mut sreq = ServiceRequest::new(
+            clasp_text::write_loop(g),
+            clasp_text::write_machine(machine),
+        );
+        sreq.request = *req;
+        sreq.capture_trace = opts.trace_json.is_some();
+        let reply = client.compile(&sreq).map_err(|e| format!("{addr}: {e}"))?;
+        let result = reply.decode().map_err(|e| format!("{addr}: {e}"))?;
+        if let (Some(path), Some(trace)) = (&opts.trace_json, &reply.trace) {
+            std::fs::write(path, trace).map_err(|e| format!("{path}: {e}"))?;
+            eprintln!("trace written to {path}");
+        }
+        (result, None)
+    } else {
+        let service = local_service(opts.cache_dir.as_deref())?;
+        // Record only when some output (`--explain` span tree,
+        // `--trace-json` file) consumes the sink, so plain compiles keep
+        // the allocation-free disabled path.
+        let obs = if opts.explain || opts.trace_json.is_some() {
+            Obs::enabled()
+        } else {
+            Obs::disabled()
+        };
+        let result = service
+            .compile_artifact(g, machine, req, &obs)
+            .as_ref()
+            .clone();
+        write_trace(opts.trace_json.as_deref(), &obs)?;
+        (result, opts.explain.then(|| obs.render()))
+    };
+    Ok((result.map_err(|e| e.to_string())?, rendered))
 }
 
 fn usage() -> ExitCode {
@@ -204,10 +214,10 @@ fn usage() -> ExitCode {
          see `clasp-cli machines` for presets; options: --machine --buses --ports\n\
          --variant --scheduler --backend --model --iterations --dot --kernel --explain\n\
          --trace-json\n\
-         --cache-dir --memory-budget --server\n\
+         --cache-dir --server\n\
          fuzz options: --seed --cases --iterations --shrink --fault --out --threads\n\
-         --exact --hard-out --cache-dir --memory-budget\n\
-         batch options: --dir --backend --threads --trace-json --cache-dir --memory-budget\n\
+         --exact --hard-out --cache-dir\n\
+         batch options: --dir --backend --threads --trace-json --cache-dir\n\
          --server --preset --stratum --stratum-loops --seed --strata-csv\n\
          load options: --mix --transport --clients --requests --seed --rate --hard-dir\n\
          --server --json --trace-json --gate --gate-factor\n\
@@ -296,17 +306,6 @@ fn request(opts: &Options, verify: bool) -> CompileRequest {
     }
 }
 
-/// The sink `compile`/`simulate` record into: enabled only when some
-/// output (`--explain` span tree, `--trace-json` file) will consume it,
-/// so plain compiles keep the allocation-free disabled path.
-fn make_obs(opts: &Options) -> Obs {
-    if opts.explain || opts.trace_json.is_some() {
-        Obs::enabled()
-    } else {
-        Obs::disabled()
-    }
-}
-
 /// Write the sink's Chrome trace-event JSON to `path` if requested.
 fn write_trace(trace_json: Option<&str>, obs: &Obs) -> Result<(), String> {
     if let Some(path) = trace_json {
@@ -337,28 +336,7 @@ fn compile(g: &Ddg, opts: &Options) -> Result<(), String> {
         }
         println!();
     }
-    let mut obs_render = None;
-    let compiled = if let Some(addr) = &opts.server {
-        let (result, trace) = remote_compile(addr, g, &machine, &req, opts.trace_json.is_some())?;
-        if let (Some(path), Some(trace)) = (&opts.trace_json, &trace) {
-            std::fs::write(path, trace).map_err(|e| format!("{path}: {e}"))?;
-            eprintln!("trace written to {path}");
-        }
-        result
-    } else {
-        let service = local_service(opts.cache_dir.as_deref(), opts.memory_budget)?;
-        let obs = make_obs(opts);
-        let result = service
-            .compile_artifact(g, &machine, &req, &obs)
-            .as_ref()
-            .clone();
-        write_trace(opts.trace_json.as_deref(), &obs)?;
-        if opts.explain {
-            obs_render = Some(obs.render());
-        }
-        result
-    };
-    let artifact = compiled.map_err(|e| e.to_string())?;
+    let (artifact, obs_render) = compile_one(g, &machine, &req, opts)?;
     let baseline = unified_ii(g, &machine, req.pipeline.sched);
     let wg = &artifact.assignment.graph;
     let report = &artifact.report;
@@ -421,25 +399,7 @@ fn compile(g: &Ddg, opts: &Options) -> Result<(), String> {
 
 fn simulate(g: &Ddg, opts: &Options) -> Result<(), String> {
     let machine = build_machine(opts)?;
-    let req = request(opts, true);
-    let compiled = if let Some(addr) = &opts.server {
-        let (result, trace) = remote_compile(addr, g, &machine, &req, opts.trace_json.is_some())?;
-        if let (Some(path), Some(trace)) = (&opts.trace_json, &trace) {
-            std::fs::write(path, trace).map_err(|e| format!("{path}: {e}"))?;
-            eprintln!("trace written to {path}");
-        }
-        result
-    } else {
-        let service = local_service(opts.cache_dir.as_deref(), opts.memory_budget)?;
-        let obs = make_obs(opts);
-        let result = service
-            .compile_artifact(g, &machine, &req, &obs)
-            .as_ref()
-            .clone();
-        write_trace(opts.trace_json.as_deref(), &obs)?;
-        result
-    };
-    let artifact = compiled.map_err(|e| e.to_string())?;
+    let (artifact, _) = compile_one(g, &machine, &request(opts, true), opts)?;
     println!(
         "ok: pipelined execution (II = {}) matches sequential execution over {} iterations",
         artifact.ii(),
@@ -457,7 +417,6 @@ fn fuzz(args: &[String]) -> Result<bool, String> {
     let mut out = String::from("results/repros");
     let mut hard_out: Option<String> = None;
     let mut cache_dir: Option<String> = None;
-    let mut memory_budget: Option<usize> = None;
     let mut i = 0;
     while i < args.len() {
         let take = |i: &mut usize| -> Option<String> {
@@ -495,13 +454,6 @@ fn fuzz(args: &[String]) -> Result<bool, String> {
             "--out" => out = take(&mut i).ok_or("--out needs a directory")?,
             "--hard-out" => hard_out = Some(take(&mut i).ok_or("--hard-out needs a directory")?),
             "--cache-dir" => cache_dir = Some(take(&mut i).ok_or("--cache-dir needs a directory")?),
-            "--memory-budget" => {
-                memory_budget = Some(
-                    take(&mut i)
-                        .and_then(|v| v.parse().ok())
-                        .ok_or("--memory-budget needs a byte count")?,
-                );
-            }
             other => return Err(format!("unknown fuzz option `{other}`")),
         }
         i += 1;
@@ -510,7 +462,7 @@ fn fuzz(args: &[String]) -> Result<bool, String> {
     // The oracle's pipeline goes through the compile service: a case
     // recompiled while shrinking is a cache hit, and with `--cache-dir`
     // repeated fuzz runs share artifacts across processes.
-    let service = local_service(cache_dir.as_deref(), memory_budget)?;
+    let service = local_service(cache_dir.as_deref())?;
     let pipeline = |g: &Ddg, m: &MachineSpec| service.oracle_case(g, m);
     let report = if shrink {
         clasp_oracle::run_fuzz_with_repros(&config, &pipeline, std::path::Path::new(&out))
@@ -700,7 +652,6 @@ fn batch(args: &[String]) -> Result<bool, String> {
     let mut threads = 0usize;
     let mut trace_json: Option<String> = None;
     let mut cache_dir: Option<String> = None;
-    let mut memory_budget: Option<usize> = None;
     let mut server: Option<String> = None;
     let mut preset_names: Vec<String> = Vec::new();
     let mut strata: Vec<Stratum> = Vec::new();
@@ -727,13 +678,6 @@ fn batch(args: &[String]) -> Result<bool, String> {
             }
             "--trace-json" => trace_json = Some(take(&mut i).ok_or("--trace-json needs a path")?),
             "--cache-dir" => cache_dir = Some(take(&mut i).ok_or("--cache-dir needs a directory")?),
-            "--memory-budget" => {
-                memory_budget = Some(
-                    take(&mut i)
-                        .and_then(|v| v.parse().ok())
-                        .ok_or("--memory-budget needs a byte count")?,
-                );
-            }
             "--server" => server = Some(take(&mut i).ok_or("--server needs host:port")?),
             "--preset" => {
                 let name = take(&mut i).ok_or("--preset needs a machine preset name")?;
@@ -839,8 +783,7 @@ fn batch(args: &[String]) -> Result<bool, String> {
         }
         (rows, None)
     } else {
-        let service =
-            local_service(cache_dir.as_deref(), memory_budget).map(std::sync::Arc::new)?;
+        let service = local_service(cache_dir.as_deref()).map(std::sync::Arc::new)?;
         let obs = Obs::enabled();
         let rows = clasp_exec::sweep_observed(
             threads,
@@ -1212,10 +1155,6 @@ fn main() -> ExitCode {
             "--cache-dir" => take(&mut i)
                 .map(|v| opts.cache_dir = Some(v))
                 .ok_or("--cache-dir needs a directory".into()),
-            "--memory-budget" => take(&mut i)
-                .and_then(|v| v.parse().ok())
-                .map(|v| opts.memory_budget = Some(v))
-                .ok_or("--memory-budget needs a byte count".into()),
             "--server" => take(&mut i)
                 .map(|v| opts.server = Some(v))
                 .ok_or("--server needs host:port".into()),
