@@ -48,7 +48,7 @@ use std::fmt::Write as _;
 /// Version tag of the payload format. Used as the first-line version
 /// marker *and* as the persistent tier's format tag; bump it whenever
 /// the encoding (or anything it transitively renders) changes shape.
-pub const ARTIFACT_FORMAT: &str = "clasp-artifact/2";
+pub const ARTIFACT_FORMAT: &str = "clasp-artifact/3";
 
 /// A payload that could not be decoded (wrong version, malformed line,
 /// out-of-range value). The persistent tier treats this as corruption:
@@ -481,6 +481,10 @@ fn write_pipeline_error(e: &PipelineError, out: &mut String) {
             let _ = write!(out, "unified ");
             write_sched_failure(f, out);
         }
+        PipelineError::Refused(f) => {
+            let _ = write!(out, "refused ");
+            write_sched_failure(f, out);
+        }
         PipelineError::Verify(SimError::UninitializedRead { reg, cycle }) => {
             let _ = write!(
                 out,
@@ -524,6 +528,7 @@ fn read_pipeline_error(t: &mut Tokens<'_>) -> Result<PipelineError, CodecError> 
             PipelineError::IiExhausted { max_ii, last }
         }
         "unified" => PipelineError::UnifiedBaselineFailed(read_sched_failure(t)?),
+        "refused" => PipelineError::Refused(read_sched_failure(t)?),
         "verify" => PipelineError::Verify(match t.next()? {
             "uninit" => SimError::UninitializedRead {
                 reg: clasp_kernel::Reg {
@@ -1055,6 +1060,10 @@ mod tests {
             PipelineError::UnifiedBaselineFailed(SchedFailure::Budget {
                 conflicts: 0,
                 nodes: 40,
+            }),
+            PipelineError::Refused(SchedFailure::Budget {
+                conflicts: 0,
+                nodes: 22,
             }),
             PipelineError::IiExhausted {
                 max_ii: 12,

@@ -554,6 +554,8 @@ fn compile_exact_observed(
             max_ii,
             last: last.map(|b| *b),
         }),
+        // The size cap refuses before any II is tried.
+        Err(failure) if trajectory.is_empty() => Err(PipelineError::Refused(failure)),
         Err(failure) => Err(PipelineError::IiExhausted {
             max_ii: trajectory.last().map_or(0, |s| s.assigned_ii),
             last: Some(failure),

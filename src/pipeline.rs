@@ -89,6 +89,9 @@ pub enum PipelineError {
     /// cannot execute some operation class at all: the unified MII is
     /// unbounded, so no escalation range exists for any entry point.
     UnifiedBaselineFailed(SchedFailure),
+    /// The backend refused the instance before attempting any II (the
+    /// exact backend's size cap), for the reason it carries.
+    Refused(SchedFailure),
     /// The emitted kernel diverged from sequential semantics under the
     /// functional simulator (driver verification stage).
     Verify(clasp_kernel::SimError),
@@ -108,6 +111,7 @@ impl fmt::Display for PipelineError {
             PipelineError::UnifiedBaselineFailed(e) => {
                 write!(f, "unified baseline failed: {e}")
             }
+            PipelineError::Refused(e) => write!(f, "{e}"),
             PipelineError::Verify(e) => write!(f, "kernel verification failed: {e}"),
         }
     }

@@ -133,6 +133,34 @@ fn bad_input_fails_cleanly() {
 }
 
 #[test]
+fn exact_size_refusal_names_no_ii() {
+    // A 22-node ALU chain is over the exact backend's 20-node cap, which
+    // refuses it before attempting any II.
+    let mut text = String::from("loop chain22\n\n");
+    for i in 0..22 {
+        text.push_str(&format!("op n{i} alu\n"));
+    }
+    for i in 1..22 {
+        text.push_str(&format!("dep n{} -> n{i}\n", i - 1));
+    }
+    let path = std::env::temp_dir().join(format!("clasp-cli-chain22-{}.clasp", std::process::id()));
+    std::fs::write(&path, text).unwrap();
+    let out = cli()
+        .arg("compile")
+        .arg(&path)
+        .args(["--machine", "2c-gp", "--backend", "exact"])
+        .output()
+        .expect("binary runs");
+    let _ = std::fs::remove_file(&path);
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(
+        stderr.trim_end(),
+        "error: exact backend refused the instance: 22 nodes exceed the size cap"
+    );
+}
+
+#[test]
 fn machines_lists_presets() {
     let out = cli().arg("machines").output().expect("binary runs");
     assert!(out.status.success());
