@@ -129,35 +129,7 @@ pub fn run_gap_experiment(corpus: &[Ddg], specs: &[SeriesSpec]) -> Result<Vec<Se
     for (_, m, _) in specs {
         assert_eq!(m, machine, "gap series must share the machine");
     }
-    let baseline = exact_baseline(corpus, machine)?;
-
-    specs
-        .iter()
-        .map(|(label, machine, config)| {
-            let iis = sweep(
-                threads(),
-                corpus,
-                |_, g: &Ddg| format!("loop {} on {} ({label})", g.name(), machine.name()),
-                |_, g| service().ii_of(g, machine, *config),
-            )?;
-            let mut hist = BTreeMap::new();
-            let mut fails = 0usize;
-            for (ii, exact) in iis.iter().zip(&baseline) {
-                match (ii, exact) {
-                    (Some(c), Some(e)) => {
-                        *hist.entry(i64::from(*c) - i64::from(*e)).or_insert(0) += 1;
-                    }
-                    _ => fails += 1,
-                }
-            }
-            Ok(Series {
-                label: label.clone(),
-                hist,
-                fails,
-                loops: corpus.len(),
-            })
-        })
-        .collect()
+    run_series(corpus, specs, &exact_baseline(corpus, machine)?)
 }
 
 /// Run every series over the corpus on the deterministic executor
@@ -185,12 +157,25 @@ pub fn run_experiment(corpus: &[Ddg], specs: &[SeriesSpec]) -> Result<Vec<Series
             "series must share a baseline"
         );
     }
-    let baseline = unified_baseline(corpus, &unified, specs[0].2.sched)?;
+    run_series(
+        corpus,
+        specs,
+        &unified_baseline(corpus, &unified, specs[0].2.sched)?,
+    )
+}
 
+/// Sweep every series over the corpus and histogram each loop's II
+/// minus its `baseline` II; a loop where either side is `None` counts
+/// as a failure.
+fn run_series(
+    corpus: &[Ddg],
+    specs: &[SeriesSpec],
+    baseline: &[Option<u32>],
+) -> Result<Vec<Series>, SweepPanic> {
     specs
         .iter()
         .map(|(label, machine, config)| {
-            let deviations = sweep(
+            let iis = sweep(
                 threads(),
                 corpus,
                 |_, g: &Ddg| format!("loop {} on {} ({label})", g.name(), machine.name()),
@@ -198,10 +183,10 @@ pub fn run_experiment(corpus: &[Ddg], specs: &[SeriesSpec]) -> Result<Vec<Series
             )?;
             let mut hist = BTreeMap::new();
             let mut fails = 0usize;
-            for (dev, base) in deviations.iter().zip(&baseline) {
-                match (dev, base) {
-                    (Some(c), Some(u)) => {
-                        *hist.entry(i64::from(*c) - i64::from(*u)).or_insert(0) += 1;
+            for (ii, base) in iis.iter().zip(baseline) {
+                match (ii, base) {
+                    (Some(c), Some(b)) => {
+                        *hist.entry(i64::from(*c) - i64::from(*b)).or_insert(0) += 1;
                     }
                     _ => fails += 1,
                 }
