@@ -56,7 +56,8 @@ pub struct CellReport {
     pub wall_ns: u64,
     /// Latency over every successful request.
     pub overall: Histogram,
-    /// Latency split by request class, indexed by [`ReqClass::index`].
+    /// Latency split by request class, indexed by
+    /// [`ReqClass::index`](crate::ReqClass::index).
     pub by_class: [Histogram; 4],
 }
 
