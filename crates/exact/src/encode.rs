@@ -234,12 +234,14 @@ fn has_transport(ic: &Interconnect) -> bool {
 /// issues somewhere in `0..H`).
 fn add_precedence(s: &mut Solver, guard: &[Lit], dst_time: &[Lit], src_prefix: &[Lit], shift: i64) {
     let h = dst_time.len() as i64;
+    let mut clause: Vec<Lit> = Vec::with_capacity(guard.len() + 2);
     for t in 0..h {
         let x = t - shift;
         if x >= h - 1 {
             continue;
         }
-        let mut clause: Vec<Lit> = guard.to_vec();
+        clause.clear();
+        clause.extend_from_slice(guard);
         clause.push(!dst_time[t as usize]);
         if x >= 0 {
             clause.push(src_prefix[x as usize]);
