@@ -56,6 +56,7 @@ pub use lifetime::{lifetimes, max_live, register_requirement, Lifetime};
 pub use mve::MveInfo;
 pub use rrf::{RegisterModel, RrfInfo};
 pub use sim::{
-    reference_stream, run_program, verify_pipelined, verify_pipelined_with, SimError, StoreEvent,
+    reference_stream, run_program, verify_pipelined, verify_pipelined_with, verify_program,
+    SimError, StoreEvent,
 };
 pub use stage::{stage_schedule, StageResult};

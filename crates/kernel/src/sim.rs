@@ -310,8 +310,15 @@ pub fn verify_pipelined_with(
     verify_program(g, &program, n_iterations)
 }
 
-/// Shared comparison of an emitted program against sequential semantics.
-fn verify_program(g: &Ddg, program: &Program, n_iterations: i64) -> Result<(), SimError> {
+/// Check an already-emitted `program` of `g` for `n_iterations`: run it
+/// and compare every store's value stream against sequential execution,
+/// as [`verify_pipelined`] does after emitting. A caller that ships the
+/// program verifies the very bytes it ships, without a second emit.
+///
+/// # Errors
+///
+/// The first divergence found, as a [`SimError`].
+pub fn verify_program(g: &Ddg, program: &Program, n_iterations: i64) -> Result<(), SimError> {
     let got = run_program(g, program)?;
     let expected = reference_stream(g, n_iterations);
     if got.len() != expected.len() {

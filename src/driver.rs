@@ -21,7 +21,7 @@ use clasp_ddg::{Ddg, LoopAnalysis};
 use clasp_exact::ExactConfig;
 use clasp_kernel::{
     emit_program_with, kernel_table, lifetimes, max_live, register_requirement, stage_schedule,
-    verify_pipelined_with, MveInfo, Program, RegisterModel, RrfInfo,
+    verify_program, MveInfo, Program, RegisterModel, RrfInfo,
 };
 use clasp_machine::MachineSpec;
 use clasp_obs::{Counter, Obs};
@@ -431,7 +431,7 @@ pub fn compile_full_observed(
 
     let span = obs.begin("stage.verify");
     let verified_iterations = if req.verify {
-        match verify_pipelined_with(wg, &assignment.map, &schedule, req.iterations, &model) {
+        match verify_program(wg, &program, req.iterations) {
             Ok(()) => {}
             Err(e) => {
                 obs.end(span);
