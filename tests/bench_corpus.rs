@@ -15,6 +15,11 @@
 //! copies and kernel hash, and `compile_loop_post`'s II, copies,
 //! assignment II attempts and kernel hash, or its error.
 //!
+//! `results/bench-corpus-swing.txt` compiles under the swing scheduler
+//! on `4c-gp` and on `mesh3x3`, one section per machine. A row pins the
+//! driver's II trajectory, final II, copies and kernel hash, as in the
+//! mesh golden.
+//!
 //! Each trailer pins the pipeline, assignment and scheduling counters
 //! of the driver pass.
 //!
@@ -30,9 +35,11 @@ use clasp::{
     compare_with_unified, compile_full_observed, compile_loop_post, CompileRequest, PipelineConfig,
 };
 use clasp_core::assign_from;
+use clasp_ddg::Ddg;
 use clasp_exec::CacheKey;
 use clasp_kernel::kernel_table;
-use clasp_machine::presets;
+use clasp_machine::{presets, MachineSpec};
+use clasp_sched::SchedulerKind;
 
 mod common;
 use common::bench_corpus;
@@ -41,7 +48,7 @@ fn hash(text: &str) -> CacheKey {
     CacheKey::of(&[text])
 }
 
-/// The driver request both goldens compile with.
+/// The driver request every golden compiles with.
 fn request(config: PipelineConfig) -> CompileRequest {
     CompileRequest {
         pipeline: config,
@@ -102,6 +109,46 @@ fn render_4c_gp() -> String {
     out
 }
 
+/// The driver's II trajectory (requested and assigned II and the
+/// failure kind of every attempt), final II, copies and kernel hash,
+/// or its error.
+fn trajectory_row(
+    g: &Ddg,
+    machine: &MachineSpec,
+    req: &CompileRequest,
+    obs: &Obs,
+    out: &mut String,
+) {
+    write!(out, "{:<10}", g.name()).unwrap();
+    match compile_full_observed(g, machine, req, obs) {
+        Ok(a) => {
+            let steps: Vec<String> = a
+                .report
+                .trajectory
+                .iter()
+                .map(|s| {
+                    let result = match &s.failure {
+                        // The variant name, without the II and node.
+                        Some(f) => format!("{f:?}").split([' ', '(']).next().unwrap().into(),
+                        None => "ok".to_string(),
+                    };
+                    format!("{}>{} {result}", s.requested_ii, s.assigned_ii)
+                })
+                .collect();
+            write!(
+                out,
+                " [{}] II {:>2}, {} copies, kernel {}",
+                steps.join(", "),
+                a.ii(),
+                a.assignment.copy_count(),
+                hash(&a.kernel_table(machine))
+            )
+            .unwrap();
+        }
+        Err(e) => write!(out, " compile error: {e}").unwrap(),
+    }
+}
+
 fn render_mesh3x3() -> String {
     let machine = presets::mesh(3, 3);
     let config = PipelineConfig::default();
@@ -109,34 +156,8 @@ fn render_mesh3x3() -> String {
     let obs = Obs::enabled();
     let mut out = String::new();
     for g in bench_corpus() {
-        write!(out, "{:<10}", g.name()).unwrap();
-        match compile_full_observed(&g, &machine, &req, &obs) {
-            Ok(a) => {
-                let steps: Vec<String> = a
-                    .report
-                    .trajectory
-                    .iter()
-                    .map(|s| {
-                        let result = match &s.failure {
-                            // The variant name, without the II and node.
-                            Some(f) => format!("{f:?}").split([' ', '(']).next().unwrap().into(),
-                            None => "ok".to_string(),
-                        };
-                        format!("{}>{} {result}", s.requested_ii, s.assigned_ii)
-                    })
-                    .collect();
-                write!(
-                    out,
-                    " [{}] II {:>2}, {} copies, kernel {};",
-                    steps.join(", "),
-                    a.ii(),
-                    a.assignment.copy_count(),
-                    hash(&a.kernel_table(&machine))
-                )
-                .unwrap();
-            }
-            Err(e) => write!(out, " compile error: {e};").unwrap(),
-        }
+        trajectory_row(&g, &machine, &req, &obs, &mut out);
+        out.push(';');
         match compile_loop_post(&g, &machine, config) {
             Ok(c) => {
                 let a = &c.assignment;
@@ -155,6 +176,28 @@ fn render_mesh3x3() -> String {
         }
     }
     counters(&obs, &mut out);
+    out
+}
+
+fn render_swing() -> String {
+    let config = PipelineConfig {
+        scheduler: SchedulerKind::Swing,
+        ..PipelineConfig::default()
+    };
+    let req = request(config);
+    let mut out = String::new();
+    for (name, machine) in [
+        ("4c-gp", presets::four_cluster_gp(4, 2)),
+        ("mesh3x3", presets::mesh(3, 3)),
+    ] {
+        writeln!(out, "{name}:").unwrap();
+        let obs = Obs::enabled();
+        for g in bench_corpus() {
+            trajectory_row(&g, &machine, &req, &obs, &mut out);
+            out.push('\n');
+        }
+        counters(&obs, &mut out);
+    }
     out
 }
 
@@ -193,4 +236,9 @@ fn bench_corpus_matches_the_committed_golden() {
 #[test]
 fn bench_corpus_on_mesh3x3_matches_the_committed_golden() {
     check("results/bench-corpus-mesh3x3.txt", render_mesh3x3());
+}
+
+#[test]
+fn bench_corpus_under_swing_matches_the_committed_golden() {
+    check("results/bench-corpus-swing.txt", render_swing());
 }
