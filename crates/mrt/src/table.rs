@@ -158,8 +158,8 @@ impl Layout {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Conflict {
     /// Current holders that would need to be evicted (deduplicated). Empty
-    /// means the request can never fit (a needed resource has zero
-    /// instances).
+    /// means the request can never fit (a needed resource has too few
+    /// instances for it).
     pub blockers: Vec<NodeId>,
 }
 
@@ -168,12 +168,13 @@ pub struct Conflict {
 pub enum PlaceOutcome {
     /// The node was placed; the resources are now held.
     Placed,
-    /// Current holders block the placement (read them with
+    /// Current holders block the placement (read them, at least one, with
     /// [`TimeMrt::last_blockers`] or evict via
     /// [`TimeMrt::place_evicting_into`]).
     Blocked,
-    /// The request can never fit on this machine (a needed resource has
-    /// zero instances).
+    /// The request can never fit on this machine: a needed resource has
+    /// no instance, or fewer than the request itself claims (a copy naming
+    /// one target cluster more often than it has write ports).
     Impossible,
 }
 
@@ -418,37 +419,41 @@ impl TimeMrt {
     /// Claim one column out of `groups` (a request may span several
     /// eligible ranges, dedicated + GP): the first free column across all
     /// of them not already claimed by this same request. On failure the
-    /// victim instance is the first column of the first non-empty group;
-    /// its holder is reported as a blocker.
+    /// victim instance is the first column of the first non-empty group
+    /// that this request has not claimed itself; its holder is reported
+    /// as a blocker. `Err(())` when there is no such column: the request
+    /// alone needs more instances than the machine has (a copy naming
+    /// one target cluster more often than it has write ports), which no
+    /// eviction can fix.
     fn claim_one(
         &self,
         row: usize,
         groups: &[(usize, usize)],
         cols: &mut Vec<usize>,
         blockers: &mut Vec<NodeId>,
-    ) -> bool {
+    ) -> Result<bool, ()> {
         for &(base, count) in groups {
             if let Some(c) = self.first_free_in(base, count, row, cols) {
                 cols.push(c);
-                return true;
+                return Ok(true);
             }
         }
-        for &(base, count) in groups {
-            if count > 0 {
-                if let Some(owner) = self.holder(base, row) {
-                    if !blockers.contains(&owner) {
-                        blockers.push(owner);
-                    }
-                }
-                return false;
-            }
+        let owner = groups
+            .iter()
+            .find(|&&(_, count)| count > 0)
+            .and_then(|&(base, count)| (base..base + count).find(|c| !cols.contains(c)))
+            .and_then(|c| self.holder(c, row))
+            .ok_or(())?;
+        if !blockers.contains(&owner) {
+            blockers.push(owner);
         }
-        false
+        Ok(false)
     }
 
     /// Plan the columns for `req` at `row` into `cols`, collecting
     /// blockers. `Err(())` means structurally impossible (a needed
-    /// resource has zero instances); `Ok(false)` means blocked.
+    /// resource has too few instances for the request); `Ok(false)` means
+    /// blocked, with at least one blocker recorded.
     fn plan_into(
         &self,
         row: usize,
@@ -462,7 +467,7 @@ impl TimeMrt {
                 if len == 0 {
                     return Err(());
                 }
-                Ok(self.claim_one(row, &groups[..len], cols, blockers))
+                self.claim_one(row, &groups[..len], cols, blockers)
             }
             SlotRequest::Copy { src, targets, link } => {
                 let mut ok = true;
@@ -470,24 +475,24 @@ impl TimeMrt {
                 if r.1 == 0 {
                     return Err(());
                 }
-                ok &= self.claim_one(row, &[r], cols, blockers);
+                ok &= self.claim_one(row, &[r], cols, blockers)?;
                 for &t in targets {
                     let w = self.layout.write_range(t);
                     if w.1 == 0 {
                         return Err(());
                     }
-                    ok &= self.claim_one(row, &[w], cols, blockers);
+                    ok &= self.claim_one(row, &[w], cols, blockers)?;
                 }
                 match link {
                     Some(l) => {
-                        ok &= self.claim_one(row, &[self.layout.link_col(*l)], cols, blockers);
+                        ok &= self.claim_one(row, &[self.layout.link_col(*l)], cols, blockers)?;
                     }
                     None => {
                         let b = self.layout.bus_range();
                         if b.1 == 0 {
                             return Err(());
                         }
-                        ok &= self.claim_one(row, &[b], cols, blockers);
+                        ok &= self.claim_one(row, &[b], cols, blockers)?;
                     }
                 }
                 Ok(ok)
@@ -573,9 +578,9 @@ impl TimeMrt {
     ///
     /// # Panics
     ///
-    /// Panics if the request is structurally impossible (a needed resource
-    /// has zero instances on this machine), if `row >= II`, or if `node`
-    /// is already placed.
+    /// Panics if the request is structurally impossible
+    /// ([`PlaceOutcome::Impossible`]), if `row >= II`, or if `node` is
+    /// already placed.
     pub fn place_evicting_into(
         &mut self,
         node: NodeId,
@@ -586,7 +591,7 @@ impl TimeMrt {
         loop {
             match self.try_place_quiet(node, row, req) {
                 PlaceOutcome::Placed => return,
-                PlaceOutcome::Blocked if !self.plan_blockers.is_empty() => {
+                PlaceOutcome::Blocked => {
                     let mut blockers = std::mem::take(&mut self.plan_blockers);
                     for &b in &blockers {
                         self.remove(b);
@@ -595,24 +600,11 @@ impl TimeMrt {
                     blockers.clear();
                     self.plan_blockers = blockers;
                 }
-                PlaceOutcome::Blocked | PlaceOutcome::Impossible => {
+                PlaceOutcome::Impossible => {
                     panic!("request impossible on this machine: {req:?}")
                 }
             }
         }
-    }
-
-    /// Place `node` at `row`, evicting whoever is in the way; returns the
-    /// evicted nodes (allocating convenience wrapper over
-    /// [`TimeMrt::place_evicting_into`]).
-    ///
-    /// # Panics
-    ///
-    /// As [`TimeMrt::place_evicting_into`].
-    pub fn place_evicting(&mut self, node: NodeId, row: u32, req: &SlotRequest) -> Vec<NodeId> {
-        let mut evicted = Vec::new();
-        self.place_evicting_into(node, row, req, &mut evicted);
-        evicted
     }
 
     /// Remove `node`'s placement (no-op if absent).
@@ -772,10 +764,50 @@ mod tests {
         let m = presets::unified_gp(1);
         let mut mrt = TimeMrt::new(&m, 1);
         mrt.try_place(NodeId(0), 0, &fu(0, OpKind::IntAlu)).unwrap();
-        let evicted = mrt.place_evicting(NodeId(1), 0, &fu(0, OpKind::Load));
+        let mut evicted = Vec::new();
+        mrt.place_evicting_into(NodeId(1), 0, &fu(0, OpKind::Load), &mut evicted);
         assert_eq!(evicted, vec![NodeId(0)]);
         assert_eq!(mrt.row_of(NodeId(0)), None);
         assert_eq!(mrt.row_of(NodeId(1)), Some(0));
+    }
+
+    #[test]
+    fn a_repeated_copy_target_names_its_real_blocker() {
+        // Two write ports on cluster 1. `x` holds port 1 at row 0 and port
+        // 0 is free, so a copy naming cluster 1 twice claims port 0 itself
+        // and is blocked by `x` alone, which eviction can clear.
+        let m = presets::two_cluster_gp(2, 2);
+        let mut mrt = TimeMrt::new(&m, 1);
+        let once = SlotRequest::Copy {
+            src: ClusterId(0),
+            targets: vec![ClusterId(1)],
+            link: None,
+        };
+        let (z, x, twice_node) = (NodeId(0), NodeId(1), NodeId(2));
+        mrt.try_place(z, 0, &once).unwrap();
+        mrt.try_place(x, 0, &once).unwrap();
+        mrt.remove(z);
+        let twice = SlotRequest::Copy {
+            src: ClusterId(0),
+            targets: vec![ClusterId(1), ClusterId(1)],
+            link: None,
+        };
+        assert_eq!(
+            mrt.try_place_quiet(twice_node, 0, &twice),
+            PlaceOutcome::Blocked
+        );
+        assert_eq!(mrt.last_blockers(), &[x]);
+        let mut evicted = Vec::new();
+        mrt.place_evicting_into(twice_node, 0, &twice, &mut evicted);
+        assert_eq!(evicted, vec![x]);
+        assert_eq!(mrt.row_of(twice_node), Some(0));
+        // With one write port the same request can never fit.
+        let m = presets::two_cluster_gp(2, 1);
+        let mut mrt = TimeMrt::new(&m, 1);
+        assert_eq!(
+            mrt.try_place_quiet(twice_node, 0, &twice),
+            PlaceOutcome::Impossible
+        );
     }
 
     #[test]
@@ -788,7 +820,7 @@ mod tests {
             targets: vec![ClusterId(0)],
             link: None,
         };
-        let _ = mrt.place_evicting(NodeId(0), 0, &req);
+        mrt.place_evicting_into(NodeId(0), 0, &req, &mut Vec::new());
     }
 
     #[test]

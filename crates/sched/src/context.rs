@@ -1,7 +1,7 @@
-//! A reusable scheduling context: everything the iterative modulo
-//! scheduler needs that does not depend on the initiation interval,
-//! prepared once per (graph, machine, cluster map) and reused across the
-//! whole II sweep.
+//! A reusable scheduling context: everything the modulo scheduling loop
+//! needs that does not depend on the initiation interval, prepared once
+//! per (graph, machine, cluster map) and reused across the whole II
+//! sweep.
 //!
 //! The seed scheduler rebuilt the swing order, the priority array, the
 //! resource-request table, the reservation table, and four per-node
@@ -12,6 +12,11 @@
 //! context performs no heap allocation during an II attempt until the
 //! final successful attempt materializes its [`Schedule`].
 //!
+//! Both phase-2 schedulers run one loop, `SchedContext::attempt_as`:
+//! Rau's iterative scheduler and the iterative swing scheduler differ
+//! only in the issue window a node's slot scan covers (see
+//! [`SchedulerKind`]).
+//!
 //! Every attempt starts from fully reset state, so a context-driven sweep
 //! is decision-for-decision identical to scheduling each II with a fresh
 //! context (the `tests/context_equivalence.rs` regression pins this).
@@ -20,6 +25,7 @@ use crate::failure::SchedFailure;
 use crate::iterative::SchedulerConfig;
 use crate::schedule::{slot_request, Schedule, ScheduleError};
 use crate::stats::{conflict_index, AttemptStats};
+use crate::swing::SchedulerKind;
 use clasp_ddg::{Ddg, LoopAnalysis, NodeId};
 use clasp_machine::MachineSpec;
 use clasp_mrt::{ClusterMap, PlaceOutcome, SlotRequest, TimeMrt};
@@ -170,6 +176,24 @@ impl<'a> SchedContext<'a> {
     ///
     /// Panics if `ii == 0`.
     pub fn attempt(&mut self, ii: u32, config: SchedulerConfig) -> Result<Schedule, SchedFailure> {
+        self.attempt_as(SchedulerKind::Iterative, ii, config)
+    }
+
+    /// One attempt at exactly `ii` with the `kind` scheduler's issue
+    /// window; the window is the only place the two schedulers differ.
+    ///
+    /// Nodes are taken in swing order. Each scans its window for a
+    /// conflict-free row; when none is free it is forced in Rau's way at
+    /// its window floor (or just after its previous slot, so repeats make
+    /// progress), evicting the holders. Every placement lands at or after
+    /// the earliest start over scheduled predecessors, so only successors
+    /// can be left with a violated dependence; they are unscheduled.
+    pub(crate) fn attempt_as(
+        &mut self,
+        kind: SchedulerKind,
+        ii: u32,
+        config: SchedulerConfig,
+    ) -> Result<Schedule, SchedFailure> {
         let analysis: &LoopAnalysis = match &self.analysis {
             AnalysisRef::Owned(a) => a,
             AnalysisRef::Borrowed(a) => a,
@@ -221,17 +245,49 @@ impl<'a> SchedContext<'a> {
             }
             budget -= 1;
 
-            // Earliest start from scheduled predecessors.
-            let mut estart: i64 = 0;
+            // Earliest start over scheduled predecessors (a self edge
+            // never counts: the node itself is unscheduled).
+            let mut es: Option<i64> = None;
             for e in analysis.preds(node) {
                 if let Some(tp) = time[e.other.index()] {
-                    estart = estart.max(tp + i64::from(e.latency) - i64::from(e.distance) * ii_i);
+                    let lb = tp + i64::from(e.latency) - i64::from(e.distance) * ii_i;
+                    es = Some(es.map_or(lb, |cur| cur.max(lb)));
                 }
             }
 
-            // Scan one full II window for a conflict-free slot.
+            // The issue window as (first slot, step, slot count), and the
+            // floor a forced placement starts from. Rau scans one II
+            // forward from the earliest start, never before cycle 0.
+            // Swing keeps lifetimes short: forward from the earliest
+            // start, backward from the latest start over scheduled
+            // successors, or forward through both bounds' intersection.
+            let (floor, (first, step, slots)) = match kind {
+                SchedulerKind::Iterative => {
+                    let floor = es.map_or(0, |es| es.max(0));
+                    (floor, (floor, 1, ii_i))
+                }
+                SchedulerKind::Swing => {
+                    let mut ls: Option<i64> = None;
+                    for e in analysis.succs(node) {
+                        if let Some(ts) = time[e.other.index()] {
+                            let ub = ts - i64::from(e.latency) + i64::from(e.distance) * ii_i;
+                            ls = Some(ls.map_or(ub, |cur| cur.min(ub)));
+                        }
+                    }
+                    let floor = es.unwrap_or(0);
+                    let window = match (es, ls) {
+                        (None, Some(ls)) => (ls, -1, ii_i),
+                        (Some(es), Some(ls)) => (es, 1, (ls - es + 1).clamp(0, ii_i)),
+                        _ => (floor, 1, ii_i),
+                    };
+                    (floor, window)
+                }
+            };
+
+            // Scan the window for a conflict-free slot.
             let mut chosen: Option<i64> = None;
-            for t in estart..estart + ii_i {
+            for k in 0..slots {
+                let t = first + step * k;
                 let row = t.rem_euclid(ii_i) as u32;
                 match mrt.try_place_quiet(node, row, &requests[vi]) {
                     PlaceOutcome::Placed => {
@@ -251,14 +307,14 @@ impl<'a> SchedContext<'a> {
             let t = match chosen {
                 Some(t) => t,
                 None => {
-                    // Forced placement (Rau): first attempt at estart,
+                    // Forced placement (Rau): first attempt at the floor,
                     // later attempts strictly after the previous slot to
                     // guarantee forward progress.
                     stats.window_rejections += 1;
                     let slot = if ever_scheduled[vi] {
-                        estart.max(prev_time[vi] + 1)
+                        floor.max(prev_time[vi] + 1)
                     } else {
-                        estart
+                        floor
                     };
                     let row = slot.rem_euclid(ii_i) as u32;
                     evicted.clear();
@@ -420,6 +476,41 @@ mod tests {
         let s = ctx.schedule_in_range(1, 16, cfg()).unwrap();
         assert_eq!(s.ii(), 4);
         assert_eq!(ctx.analysis().order().len(), 6);
+    }
+
+    #[test]
+    fn a_copy_naming_one_cluster_twice_is_resource_impossible() {
+        // One write port per cluster cannot take a copy that writes
+        // cluster 1 twice: both schedulers report it, neither panics.
+        use clasp_machine::ClusterId;
+        use clasp_mrt::CopyMeta;
+        let mut g = Ddg::new("twice");
+        let a = g.add(OpKind::IntAlu);
+        let cp = g.add(OpKind::Copy);
+        let b = g.add(OpKind::IntAlu);
+        g.add_dep(a, cp);
+        g.add_dep(cp, b);
+        let m = presets::two_cluster_gp(2, 1);
+        let mut map = ClusterMap::new();
+        map.assign(a, ClusterId(0));
+        map.assign(cp, ClusterId(0));
+        map.set_copy_meta(
+            cp,
+            CopyMeta {
+                src: ClusterId(0),
+                targets: vec![ClusterId(1), ClusterId(1)],
+                link: None,
+            },
+        );
+        map.assign(b, ClusterId(1));
+        for kind in [SchedulerKind::Iterative, SchedulerKind::Swing] {
+            let mut ctx = SchedContext::new(&g, &m, &map).unwrap();
+            assert_eq!(
+                ctx.attempt_as(kind, 2, cfg()),
+                Err(SchedFailure::ResourceImpossible { ii: 2, node: cp }),
+                "{kind}"
+            );
+        }
     }
 
     #[test]

@@ -25,14 +25,6 @@ pub enum SchedFailure {
         /// The operation the scheduler was about to (re)place.
         node: NodeId,
     },
-    /// No slot in `node`'s scan window was conflict-free at `ii` and
-    /// forced placement was not available to the scheduler.
-    WindowInfeasible {
-        /// The II being attempted.
-        ii: u32,
-        /// The operation that found no slot.
-        node: NodeId,
-    },
     /// `node`'s resource request can never be granted: the reservation
     /// table has no matching capacity in any row (e.g. its assigned
     /// cluster has no unit of the required class). No II helps.
@@ -86,7 +78,6 @@ impl SchedFailure {
     pub fn blocking_node(&self) -> Option<NodeId> {
         match self {
             SchedFailure::BudgetExhausted { node, .. }
-            | SchedFailure::WindowInfeasible { node, .. }
             | SchedFailure::ResourceImpossible { node, .. } => Some(*node),
             SchedFailure::Exhausted { last, .. } => last.as_ref().and_then(|f| f.blocking_node()),
             SchedFailure::Budget { .. }
@@ -101,9 +92,7 @@ impl SchedFailure {
     /// annotations) return `false`.
     pub fn retryable(&self) -> bool {
         match self {
-            SchedFailure::BudgetExhausted { .. }
-            | SchedFailure::WindowInfeasible { .. }
-            | SchedFailure::Infeasible { .. } => true,
+            SchedFailure::BudgetExhausted { .. } | SchedFailure::Infeasible { .. } => true,
             SchedFailure::Budget { .. }
             | SchedFailure::ResourceImpossible { .. }
             | SchedFailure::MiiUnbounded
@@ -121,9 +110,6 @@ impl fmt::Display for SchedFailure {
                     f,
                     "placement budget exhausted at II = {ii} (blocked on {node})"
                 )
-            }
-            SchedFailure::WindowInfeasible { ii, node } => {
-                write!(f, "no free slot in {node}'s scan window at II = {ii}")
             }
             SchedFailure::ResourceImpossible { ii, node } => {
                 write!(

@@ -6,8 +6,9 @@
 //! [`ClusterMap`] and turns them into resource requests, but never makes a
 //! clustering decision itself.
 //!
-//! The algorithm lives in [`SchedContext::attempt`]; the free functions
-//! here are convenience wrappers that build a fresh context per call.
+//! The algorithm lives in [`SchedContext`], whose loop it shares with
+//! the swing scheduler; the free functions here are convenience wrappers
+//! that build a fresh context per call.
 //! Callers sweeping many IIs should hold one [`SchedContext`] instead —
 //! [`schedule_in_range`] and [`schedule_unified`] already do.
 
@@ -21,8 +22,10 @@ use clasp_mrt::ClusterMap;
 /// Tuning knobs for the iterative scheduler.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SchedulerConfig {
-    /// Total placement budget as a multiple of the node count; exhausting
-    /// it fails the attempt at this II (Rau's `budget_ratio`).
+    /// Placement budget as a multiple of the node count (Rau's
+    /// `budget_ratio`): both schedulers may make `budget_factor × nodes`
+    /// placements per attempt, and exhausting them fails the attempt at
+    /// this II, so a factor of 0 fails at the first node.
     pub budget_factor: u32,
 }
 

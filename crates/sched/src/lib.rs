@@ -1,13 +1,17 @@
 //! # clasp-sched — iterative modulo scheduling
 //!
-//! The "phase 2" scheduler of the CLASP reproduction of Nystrom &
-//! Eichenberger (MICRO 1998): an implementation of Rau's iterative modulo
-//! scheduler (MICRO-27, 1994) whose priority function is the swing
-//! ordering. It is deliberately ignorant of clustering: cluster
-//! assignments and copy transport arrive pre-computed in a
-//! [`clasp_mrt::ClusterMap`], exactly as the paper prescribes.
+//! The "phase 2" schedulers of the CLASP reproduction of Nystrom &
+//! Eichenberger (MICRO 1998): Rau's iterative modulo scheduler
+//! (MICRO-27, 1994) and the iterative swing modulo scheduler of Llosa et
+//! al. (PACT 1996), both taking nodes in swing order. They share one
+//! loop in [`SchedContext`] and differ only in the issue window a node's
+//! slot scan covers ([`SchedulerKind`]). Both are deliberately ignorant
+//! of clustering: cluster assignments and copy transport arrive
+//! pre-computed in a [`clasp_mrt::ClusterMap`], exactly as the paper
+//! prescribes.
 //!
-//! - [`iterative_schedule`]: one attempt at a fixed II;
+//! - [`iterative_schedule`] / [`swing_schedule`]: one attempt at a fixed
+//!   II; [`schedule_with_stats`] picks the scheduler by kind;
 //! - [`schedule_in_range`]: search upward over II;
 //! - [`schedule_unified`]: the unified-machine baseline the paper compares
 //!   every clustered result against;
@@ -16,9 +20,9 @@
 //!   resource correctness.
 //!
 //! Every scheduling entry point returns `Result<Schedule, SchedFailure>`:
-//! a failed attempt names its reason (budget exhausted, window
-//! infeasible, unsatisfiable resource request) and the blocking node, so
-//! II-escalation decisions upstream are explainable.
+//! a failed attempt names its reason (budget exhausted, unsatisfiable
+//! resource request) and the blocking node, so II-escalation decisions
+//! upstream are explainable.
 //!
 //! # Examples
 //!
@@ -53,4 +57,4 @@ pub use iterative::{
 };
 pub use schedule::{slot_request, unified_map, validate_schedule, Schedule, ScheduleError};
 pub use stats::{AttemptStats, CONFLICT_CLASSES};
-pub use swing::{schedule_with, schedule_with_stats, swing_schedule, SchedulerKind};
+pub use swing::{schedule_with_stats, swing_schedule, SchedulerKind};

@@ -20,7 +20,7 @@ pub struct AttemptStats {
     pub attempts: u64,
     /// Operations placed, including re-placements after eviction.
     pub placements: u64,
-    /// Backtracks: evictions plus successor/predecessor displacements —
+    /// Backtracks: evictions plus successor displacements —
     /// every time committed work was undone.
     pub backtracks: u64,
     /// Forced placements taken after a full window scan found no

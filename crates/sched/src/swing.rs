@@ -1,21 +1,24 @@
-//! The Swing Modulo Scheduler (Llosa et al., PACT 1996), in the
-//! "iterative version" the paper's experiments used.
+//! The phase-2 scheduler choice, and the iterative swing modulo
+//! scheduler of Llosa et al. (PACT 1996) in the "iterative version" the
+//! paper's experiments used.
 //!
-//! SMS walks the swing order and places each node as close as possible to
-//! its already-scheduled neighbours, scanning *forward* when predecessors
-//! anchor the node, *backward* when successors do, and inside the
-//! intersection window when both do — keeping value lifetimes short. The
-//! iterative flavour adds Rau-style force-placement with eviction when no
-//! slot in the window is free, instead of failing the II outright.
+//! SMS places each node as close as possible to its already-scheduled
+//! neighbours, scanning *forward* from the earliest start when
+//! predecessors anchor the node, *backward* from the latest start when
+//! successors do, and through the intersection window when both do —
+//! keeping value lifetimes short. The iterative flavour adds Rau-style
+//! force-placement with eviction when no slot in the window is free,
+//! instead of failing the II outright. Everything but the window is
+//! Rau's loop, so both schedulers run the one loop of [`SchedContext`].
 
+use crate::context::SchedContext;
 use crate::failure::SchedFailure;
 use crate::iterative::SchedulerConfig;
-use crate::schedule::{slot_request, Schedule};
-use crate::stats::{conflict_index, AttemptStats};
-use clasp_ddg::{swing_order, Ddg};
+use crate::schedule::Schedule;
+use crate::stats::AttemptStats;
+use clasp_ddg::Ddg;
 use clasp_machine::MachineSpec;
-use clasp_mrt::{ClusterMap, TimeMrt};
-use std::collections::HashMap;
+use clasp_mrt::ClusterMap;
 
 /// Which phase-2 scheduler to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -27,12 +30,36 @@ pub enum SchedulerKind {
     Swing,
 }
 
+impl SchedulerKind {
+    /// The token naming this kind on the wire, in artifacts and on the
+    /// command line.
+    fn token(self) -> &'static str {
+        match self {
+            SchedulerKind::Iterative => "iterative",
+            SchedulerKind::Swing => "swing",
+        }
+    }
+
+    /// The kind `token` names (the inverse of `Display`), or `None`.
+    ///
+    /// ```
+    /// use clasp_sched::SchedulerKind;
+    ///
+    /// assert_eq!(SchedulerKind::parse("swing"), Some(SchedulerKind::Swing));
+    /// assert_eq!(SchedulerKind::parse(&SchedulerKind::Iterative.to_string()),
+    ///            Some(SchedulerKind::Iterative));
+    /// assert_eq!(SchedulerKind::parse("rau"), None);
+    /// ```
+    pub fn parse(token: &str) -> Option<Self> {
+        [SchedulerKind::Iterative, SchedulerKind::Swing]
+            .into_iter()
+            .find(|k| k.token() == token)
+    }
+}
+
 impl std::fmt::Display for SchedulerKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SchedulerKind::Iterative => f.write_str("iterative"),
-            SchedulerKind::Swing => f.write_str("swing"),
-        }
+        f.write_str(self.token())
     }
 }
 
@@ -68,216 +95,13 @@ pub fn swing_schedule(
     ii: u32,
     config: SchedulerConfig,
 ) -> Result<Schedule, SchedFailure> {
-    swing_schedule_impl(g, machine, map, ii, config, &mut AttemptStats::default())
+    schedule_with_stats(SchedulerKind::Swing, g, machine, map, ii, config).0
 }
 
-fn swing_schedule_impl(
-    g: &Ddg,
-    machine: &MachineSpec,
-    map: &ClusterMap,
-    ii: u32,
-    config: SchedulerConfig,
-    stats: &mut AttemptStats,
-) -> Result<Schedule, SchedFailure> {
-    stats.attempts += 1;
-    let n = g.node_count();
-    if n == 0 {
-        return Ok(Schedule::new(ii, HashMap::new()));
-    }
-    let order = swing_order(g);
-
-    let mut requests = Vec::with_capacity(n);
-    let mut conflict_lane = Vec::with_capacity(n);
-    for node in g.node_ids() {
-        match slot_request(g, map, node) {
-            Ok(r) => requests.push(r),
-            Err(e) => return Err(SchedFailure::Invalid(e)),
-        }
-        conflict_lane.push(conflict_index(g.op(node).kind));
-    }
-
-    let mut mrt = TimeMrt::new(machine, ii);
-    let mut time: Vec<Option<i64>> = vec![None; n];
-    let mut prev_time: Vec<i64> = vec![0; n];
-    let mut ever: Vec<bool> = vec![false; n];
-    let mut unscheduled = n;
-    let mut budget = u64::from(config.budget_factor).max(1) * n as u64;
-    let ii_i = i64::from(ii);
-
-    while unscheduled > 0 {
-        // The node lookup has no scheduling effect, so it runs before the
-        // budget check: an exhaustion names the operation it blocked on.
-        let node = order
-            .iter()
-            .copied()
-            .find(|v| time[v.index()].is_none())
-            .expect("unscheduled > 0");
-        let vi = node.index();
-
-        if budget == 0 {
-            return Err(SchedFailure::BudgetExhausted { ii, node });
-        }
-        budget -= 1;
-
-        // Anchors from scheduled neighbours.
-        let mut estart: Option<i64> = None;
-        for (_, e) in g.pred_edges(node) {
-            if e.src == node {
-                continue;
-            }
-            if let Some(tp) = time[e.src.index()] {
-                let lb = tp + i64::from(e.latency) - i64::from(e.distance) * ii_i;
-                estart = Some(estart.map_or(lb, |cur: i64| cur.max(lb)));
-            }
-        }
-        let mut lstart: Option<i64> = None;
-        for (_, e) in g.succ_edges(node) {
-            if e.dst == node {
-                continue;
-            }
-            if let Some(ts) = time[e.dst.index()] {
-                let ub = ts - i64::from(e.latency) + i64::from(e.distance) * ii_i;
-                lstart = Some(lstart.map_or(ub, |cur: i64| cur.min(ub)));
-            }
-        }
-
-        // Candidate scan per the SMS placement rules.
-        let candidates: Vec<i64> = match (estart, lstart) {
-            (Some(es), None) => (es..es + ii_i).collect(),
-            (None, Some(ls)) => {
-                let lo = ls - ii_i + 1;
-                (lo..=ls).rev().collect()
-            }
-            (Some(es), Some(ls)) => {
-                let hi = ls.min(es + ii_i - 1);
-                (es..=hi).collect()
-            }
-            (None, None) => (0..ii_i).collect(),
-        };
-
-        let mut placed_at: Option<i64> = None;
-        for t in candidates {
-            let row = t.rem_euclid(ii_i) as u32;
-            match mrt.try_place(node, row, &requests[vi]) {
-                Ok(()) => {
-                    placed_at = Some(t);
-                    break;
-                }
-                Err(c) => {
-                    if c.blockers.is_empty() {
-                        // Structurally impossible on this machine.
-                        return Err(SchedFailure::ResourceImpossible { ii, node });
-                    }
-                    stats.conflicts[conflict_lane[vi]] += 1;
-                }
-            }
-        }
-
-        let t = match placed_at {
-            Some(t) => t,
-            None => {
-                stats.window_rejections += 1;
-                if !config.iterative_fallback() {
-                    return Err(SchedFailure::WindowInfeasible { ii, node });
-                }
-                // Iterative fallback: force-place like Rau, evicting the
-                // holders, strictly advancing on repeats.
-                let base = estart.unwrap_or(0);
-                let slot = if ever[vi] {
-                    base.max(prev_time[vi] + 1)
-                } else {
-                    base
-                };
-                let row = slot.rem_euclid(ii_i) as u32;
-                let evicted = mrt.place_evicting(node, row, &requests[vi]);
-                for ev in evicted {
-                    if time[ev.index()].take().is_some() {
-                        unscheduled += 1;
-                        stats.backtracks += 1;
-                    }
-                }
-                slot
-            }
-        };
-
-        time[vi] = Some(t);
-        prev_time[vi] = t;
-        ever[vi] = true;
-        unscheduled -= 1;
-        stats.placements += 1;
-
-        // Displace scheduled neighbours whose dependence is now violated
-        // (can happen after a backward or forced placement).
-        for (_, e) in g.succ_edges(node) {
-            if e.dst == node {
-                continue;
-            }
-            let di = e.dst.index();
-            if let Some(td) = time[di] {
-                if td < t + i64::from(e.latency) - i64::from(e.distance) * ii_i {
-                    mrt.remove(e.dst);
-                    time[di] = None;
-                    unscheduled += 1;
-                    stats.backtracks += 1;
-                }
-            }
-        }
-        for (_, e) in g.pred_edges(node) {
-            if e.src == node {
-                continue;
-            }
-            let pi = e.src.index();
-            if let Some(tp) = time[pi] {
-                if t < tp + i64::from(e.latency) - i64::from(e.distance) * ii_i {
-                    mrt.remove(e.src);
-                    time[pi] = None;
-                    unscheduled += 1;
-                    stats.backtracks += 1;
-                }
-            }
-        }
-    }
-
-    let result: HashMap<_, _> = g
-        .node_ids()
-        .map(|v| (v, time[v.index()].expect("all scheduled")))
-        .collect();
-    Ok(Schedule::new(ii, result))
-}
-
-impl SchedulerConfig {
-    /// Whether the swing scheduler may fall back to eviction (the
-    /// "iterative version" of SMS the paper used). Always on; exposed as
-    /// a method so a future knob can gate it without an API break.
-    pub(crate) fn iterative_fallback(self) -> bool {
-        true
-    }
-}
-
-/// Dispatch to the configured phase-2 scheduler at a fixed II.
-///
-/// # Errors
-///
-/// The dispatched scheduler's [`SchedFailure`].
-pub fn schedule_with(
-    kind: SchedulerKind,
-    g: &Ddg,
-    machine: &MachineSpec,
-    map: &ClusterMap,
-    ii: u32,
-    config: SchedulerConfig,
-) -> Result<Schedule, SchedFailure> {
-    match kind {
-        SchedulerKind::Iterative => crate::iterative_schedule(g, machine, map, ii, config),
-        SchedulerKind::Swing => swing_schedule(g, machine, map, ii, config),
-    }
-}
-
-/// [`schedule_with`], also returning the attempt's [`AttemptStats`] —
-/// the hook the pipeline uses to fold scheduler effort into an
-/// observability sink. Decision-for-decision identical to
-/// [`schedule_with`] (the stats are pure counts; they never influence a
-/// placement).
+/// Attempt a schedule at exactly `ii` with the `kind` scheduler, also
+/// returning the attempt's [`AttemptStats`] — the hook the pipeline uses
+/// to fold scheduler effort into an observability sink. The stats are
+/// pure counts; they never influence a placement.
 pub fn schedule_with_stats(
     kind: SchedulerKind,
     g: &Ddg,
@@ -286,19 +110,12 @@ pub fn schedule_with_stats(
     ii: u32,
     config: SchedulerConfig,
 ) -> (Result<Schedule, SchedFailure>, AttemptStats) {
-    match kind {
-        SchedulerKind::Iterative => match crate::SchedContext::new(g, machine, map) {
-            Ok(mut ctx) => {
-                let result = ctx.attempt(ii, config);
-                (result, ctx.stats())
-            }
-            Err(e) => (Err(SchedFailure::Invalid(e)), AttemptStats::default()),
-        },
-        SchedulerKind::Swing => {
-            let mut stats = AttemptStats::default();
-            let result = swing_schedule_impl(g, machine, map, ii, config, &mut stats);
-            (result, stats)
+    match SchedContext::new(g, machine, map) {
+        Ok(mut ctx) => {
+            let result = ctx.attempt_as(kind, ii, config);
+            (result, ctx.stats())
         }
+        Err(e) => (Err(SchedFailure::Invalid(e)), AttemptStats::default()),
     }
 }
 
@@ -411,6 +228,31 @@ mod tests {
         map.assign(b, ClusterId(1));
         let s = swing_schedule(&g, &m, &map, 1, cfg()).unwrap();
         assert_eq!(validate_schedule(&g, &m, &map, &s), Ok(()));
+    }
+
+    #[test]
+    fn zero_budget_fails_at_the_first_node() {
+        // Both schedulers grant `budget_factor × nodes` placements, so a
+        // zero factor fails before any placement, as it does for Rau.
+        let mut g = Ddg::new("big");
+        let ops: Vec<_> = (0..20).map(|_| g.add(OpKind::IntAlu)).collect();
+        for w in ops.windows(2) {
+            g.add_dep(w[0], w[1]);
+        }
+        let m = presets::unified_gp(1);
+        let map = unified_map(&g, &m);
+        let first = clasp_ddg::swing_order(&g)[0];
+        let zero = SchedulerConfig { budget_factor: 0 };
+        let (failed, stats) = schedule_with_stats(SchedulerKind::Swing, &g, &m, &map, 20, zero);
+        assert_eq!(
+            failed,
+            Err(SchedFailure::BudgetExhausted {
+                ii: 20,
+                node: first
+            })
+        );
+        assert_eq!(stats.placements, 0);
+        assert!(swing_schedule(&g, &m, &map, 20, cfg()).is_ok());
     }
 
     #[test]

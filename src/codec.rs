@@ -146,21 +146,6 @@ fn kind_of(token: &str) -> Result<OpKind, CodecError> {
     })
 }
 
-fn scheduler_token(k: SchedulerKind) -> &'static str {
-    match k {
-        SchedulerKind::Iterative => "iterative",
-        SchedulerKind::Swing => "swing",
-    }
-}
-
-fn scheduler_of(token: &str) -> Result<SchedulerKind, CodecError> {
-    Ok(match token {
-        "iterative" => SchedulerKind::Iterative,
-        "swing" => SchedulerKind::Swing,
-        other => return err(format!("unknown scheduler {other:?}")),
-    })
-}
-
 fn model_token(k: RegisterModelKind) -> &'static str {
     match k {
         RegisterModelKind::Mve => "mve",
@@ -256,9 +241,6 @@ fn write_sched_failure(f: &SchedFailure, out: &mut String) {
         SchedFailure::BudgetExhausted { ii, node } => {
             let _ = write!(out, "budget {ii} {}", node.0);
         }
-        SchedFailure::WindowInfeasible { ii, node } => {
-            let _ = write!(out, "window {ii} {}", node.0);
-        }
         SchedFailure::ResourceImpossible { ii, node } => {
             let _ = write!(out, "resource {ii} {}", node.0);
         }
@@ -294,10 +276,6 @@ fn write_sched_failure(f: &SchedFailure, out: &mut String) {
 fn read_sched_failure(t: &mut Tokens<'_>) -> Result<SchedFailure, CodecError> {
     Ok(match t.next()? {
         "budget" => SchedFailure::BudgetExhausted {
-            ii: t.parse()?,
-            node: NodeId(t.parse()?),
-        },
-        "window" => SchedFailure::WindowInfeasible {
             ii: t.parse()?,
             node: NodeId(t.parse()?),
         },
@@ -596,7 +574,7 @@ pub fn encode(result: &Result<CompiledArtifact, PipelineError>, iterations: i64)
             let _ = writeln!(
                 out,
                 "config {} {} {iterations}",
-                scheduler_token(r.scheduler),
+                r.scheduler,
                 model_token(r.register_model)
             );
 
@@ -741,7 +719,9 @@ fn decode_artifact(lines: &mut Lines<'_>) -> Result<CompiledArtifact, CodecError
 
     let mut t = lines.next_tokens()?;
     t.expect("config")?;
-    let scheduler = scheduler_of(t.next()?)?;
+    let token = t.next()?;
+    let scheduler = SchedulerKind::parse(token)
+        .ok_or_else(|| CodecError(format!("unknown scheduler {token:?}")))?;
     let register_model = model_of(t.next()?)?;
     let iterations: i64 = t.parse()?;
     t.done()?;
@@ -1042,7 +1022,7 @@ mod tests {
                 last: Some(SchedFailure::Exhausted {
                     min_ii: 4,
                     max_ii: 128,
-                    last: Some(Box::new(SchedFailure::WindowInfeasible {
+                    last: Some(Box::new(SchedFailure::BudgetExhausted {
                         ii: 128,
                         node: NodeId(11),
                     })),
