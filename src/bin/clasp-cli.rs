@@ -666,11 +666,11 @@ fn batch(args: &[String]) -> Result<bool, String> {
         };
         match args[i].as_str() {
             "--dir" => dir = take(&mut i).ok_or("--dir needs a directory")?,
-            "--backend" => match take(&mut i).as_deref() {
-                Some("heuristic") => backend = BackendKind::Heuristic,
-                Some("exact") => backend = BackendKind::Exact,
-                _ => return Err("--backend is `heuristic` or `exact`".into()),
-            },
+            "--backend" => {
+                backend = take(&mut i)
+                    .and_then(|v| BackendKind::parse(&v))
+                    .ok_or("--backend is `heuristic` or `exact`")?;
+            }
             "--threads" => {
                 threads = take(&mut i)
                     .and_then(|v| v.parse().ok())
@@ -1100,28 +1100,14 @@ fn main() -> ExitCode {
                 Some(v) => parse_variant(&v).map(|p| opts.variant = p),
                 None => Err("--variant needs a value".into()),
             },
-            "--scheduler" => match take(&mut i).as_deref() {
-                Some("iterative") => {
-                    opts.scheduler = SchedulerKind::Iterative;
-                    Ok(())
-                }
-                Some("swing") => {
-                    opts.scheduler = SchedulerKind::Swing;
-                    Ok(())
-                }
-                _ => Err("--scheduler is `iterative` or `swing`".into()),
-            },
-            "--backend" => match take(&mut i).as_deref() {
-                Some("heuristic") => {
-                    opts.backend = BackendKind::Heuristic;
-                    Ok(())
-                }
-                Some("exact") => {
-                    opts.backend = BackendKind::Exact;
-                    Ok(())
-                }
-                _ => Err("--backend is `heuristic` or `exact`".into()),
-            },
+            "--scheduler" => take(&mut i)
+                .and_then(|v| SchedulerKind::parse(&v))
+                .map(|k| opts.scheduler = k)
+                .ok_or("--scheduler is `iterative` or `swing`".into()),
+            "--backend" => take(&mut i)
+                .and_then(|v| BackendKind::parse(&v))
+                .map(|k| opts.backend = k)
+                .ok_or("--backend is `heuristic` or `exact`".into()),
             "--model" => match take(&mut i).as_deref() {
                 Some("mve") => {
                     opts.model = RegisterModelKind::Mve;

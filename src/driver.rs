@@ -60,12 +60,35 @@ pub enum BackendKind {
     Exact,
 }
 
+impl BackendKind {
+    /// The token naming this backend on the wire and on the command line.
+    fn token(self) -> &'static str {
+        match self {
+            BackendKind::Heuristic => "heuristic",
+            BackendKind::Exact => "exact",
+        }
+    }
+
+    /// The backend `token` names (the inverse of `Display`), or `None`.
+    ///
+    /// ```
+    /// use clasp::BackendKind;
+    ///
+    /// assert_eq!(BackendKind::parse("exact"), Some(BackendKind::Exact));
+    /// assert_eq!(BackendKind::parse(&BackendKind::Heuristic.to_string()),
+    ///            Some(BackendKind::Heuristic));
+    /// assert_eq!(BackendKind::parse("sat"), None);
+    /// ```
+    pub fn parse(token: &str) -> Option<Self> {
+        [BackendKind::Heuristic, BackendKind::Exact]
+            .into_iter()
+            .find(|k| k.token() == token)
+    }
+}
+
 impl fmt::Display for BackendKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            BackendKind::Heuristic => write!(f, "heuristic"),
-            BackendKind::Exact => write!(f, "exact"),
-        }
+        f.write_str(self.token())
     }
 }
 

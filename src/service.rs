@@ -590,20 +590,8 @@ impl ServiceRequest {
             a.max_ii.map_or("-".to_string(), |v| v.to_string()),
         ));
         s.push_str(&format!("sched {}\n", r.pipeline.sched.budget_factor));
-        s.push_str(&format!(
-            "backend {}\n",
-            match r.backend {
-                BackendKind::Heuristic => "heuristic",
-                BackendKind::Exact => "exact",
-            }
-        ));
-        s.push_str(&format!(
-            "scheduler {}\n",
-            match r.pipeline.scheduler {
-                SchedulerKind::Iterative => "iterative",
-                SchedulerKind::Swing => "swing",
-            }
-        ));
+        s.push_str(&format!("backend {}\n", r.backend));
+        s.push_str(&format!("scheduler {}\n", r.pipeline.scheduler));
         s.push_str(&format!(
             "model {}\n",
             match r.register_model {
@@ -684,18 +672,14 @@ impl ServiceRequest {
                         .map_err(|_| bad("sched: bad budget factor"))?;
                 }
                 Some("backend") => {
-                    request.backend = match next("backend")? {
-                        "heuristic" => BackendKind::Heuristic,
-                        "exact" => BackendKind::Exact,
-                        other => return Err(bad(format!("unknown backend `{other}`"))),
-                    };
+                    let token = next("backend")?;
+                    request.backend = BackendKind::parse(token)
+                        .ok_or_else(|| bad(format!("unknown backend `{token}`")))?;
                 }
                 Some("scheduler") => {
-                    request.pipeline.scheduler = match next("scheduler")? {
-                        "iterative" => SchedulerKind::Iterative,
-                        "swing" => SchedulerKind::Swing,
-                        other => return Err(bad(format!("unknown scheduler `{other}`"))),
-                    };
+                    let token = next("scheduler")?;
+                    request.pipeline.scheduler = SchedulerKind::parse(token)
+                        .ok_or_else(|| bad(format!("unknown scheduler `{token}`")))?;
                 }
                 Some("model") => {
                     request.register_model = match next("model")? {
