@@ -289,6 +289,18 @@ impl Solver {
             .map(|c| &self.buf.lits[c.range()])
     }
 
+    /// Every literal fixed at decision level 0, in the order assigned,
+    /// each with whether it was asserted without a reason clause (a unit
+    /// of the formula or a learnt unit) rather than propagated.
+    #[cfg(test)]
+    fn level0_trail(&self) -> impl Iterator<Item = (Lit, bool)> + '_ {
+        let b = &self.buf;
+        let end = b.trail_lim.first().copied().unwrap_or(b.trail.len());
+        b.trail[..end]
+            .iter()
+            .map(|&l| (l, b.reason[l.var() as usize] == NO_REASON))
+    }
+
     fn lit_value(&self, l: Lit) -> u8 {
         let v = self.buf.assigns[l.var() as usize];
         if v == VAL_UNDEF {
@@ -798,7 +810,9 @@ mod tests {
             .all(|c| c.iter().any(|l| model[l.var() as usize] != l.is_neg()))
     }
 
-    fn solve_formula(n: usize, clauses: &[Vec<Lit>]) -> (Outcome, Solver) {
+    /// A solver holding `clauses` over `n` variables, and whether the
+    /// formula survived loading (adding a clause can refute it at level 0).
+    fn load_formula(n: usize, clauses: &[Vec<Lit>]) -> (bool, Solver) {
         let mut s = Solver::new();
         for _ in 0..n {
             s.new_var();
@@ -807,18 +821,38 @@ mod tests {
         for c in clauses {
             ok &= s.add_clause(c);
         }
-        if !ok {
-            return (Outcome::Unsat, s);
-        }
-        let out = s.solve(u64::MAX);
+        (ok, s)
+    }
+
+    fn solve_formula(n: usize, clauses: &[Vec<Lit>]) -> (Outcome, Solver) {
+        let (ok, mut s) = load_formula(n, clauses);
+        let out = if ok {
+            s.solve(u64::MAX)
+        } else {
+            Outcome::Unsat
+        };
         (out, s)
     }
 
+    /// Number of reason-less literals on `s`'s level-0 trail.
+    fn level0_units(s: &Solver) -> usize {
+        s.level0_trail().filter(|&(_, unit)| unit).count()
+    }
+
     /// Cross-check CDCL against brute force on one formula, and audit
-    /// every learnt clause against every brute-force model (a learnt
-    /// clause that excludes a model would be an unsoundness).
-    fn cross_check(n: usize, clauses: &[Vec<Lit>]) {
-        let (out, s) = solve_formula(n, clauses);
+    /// every learnt clause and every level-0 literal against every
+    /// brute-force model (a learnt clause that excludes a model, or a
+    /// fixed literal that one falsifies, would be an unsoundness). The
+    /// level-0 trail holds the learnt units, which the solver does not
+    /// store as clauses. Returns how many learnt units the solve made.
+    fn cross_check(n: usize, clauses: &[Vec<Lit>]) -> usize {
+        let (ok, mut s) = load_formula(n, clauses);
+        let given_units = level0_units(&s);
+        let out = if ok {
+            s.solve(u64::MAX)
+        } else {
+            Outcome::Unsat
+        };
         let reference = brute_force(n, clauses);
         match (&out, &reference) {
             (Outcome::Sat(model), Some(_)) => {
@@ -838,8 +872,15 @@ mod tests {
                         "learnt clause {learnt:?} drops model {model:?} of {clauses:?}"
                     );
                 }
+                for (l, _) in s.level0_trail() {
+                    assert!(
+                        model[l.var() as usize] != l.is_neg(),
+                        "level-0 literal {l:?} drops model {model:?} of {clauses:?}"
+                    );
+                }
             }
         }
+        level0_units(&s) - given_units
     }
 
     /// Every clause with up to 3 literals over 3 vars (no tautologies,
@@ -870,10 +911,11 @@ mod tests {
         let pool = all_small_clauses();
         // Every single clause and every pair; triples sampled densely by
         // a fixed stride to keep the test under a second.
+        let mut units = 0;
         for i in 0..pool.len() {
-            cross_check(3, &[pool[i].clone()]);
+            units += cross_check(3, &[pool[i].clone()]);
             for j in i..pool.len() {
-                cross_check(3, &[pool[i].clone(), pool[j].clone()]);
+                units += cross_check(3, &[pool[i].clone(), pool[j].clone()]);
             }
         }
         let mut idx = 0usize;
@@ -883,14 +925,16 @@ mod tests {
                 idx / pool.len() % pool.len(),
                 idx % pool.len(),
             );
-            cross_check(3, &[pool[i].clone(), pool[j].clone(), pool[k].clone()]);
+            units += cross_check(3, &[pool[i].clone(), pool[j].clone(), pool[k].clone()]);
             idx += 97; // prime stride: 26^3/97 ≈ 180 triples
         }
+        assert!(units > 0, "no learnt unit was audited");
     }
 
     #[test]
     fn random_formulas_up_to_4_vars_6_clauses() {
         let mut rng = Rng(0x9E3779B97F4A7C15);
+        let mut units = 0;
         for _ in 0..4000 {
             let n = 1 + rng.below(4) as usize;
             let m = 1 + rng.below(6) as usize;
@@ -909,8 +953,9 @@ mod tests {
                         .collect()
                 })
                 .collect();
-            cross_check(n, &clauses);
+            units += cross_check(n, &clauses);
         }
+        assert!(units > 0, "no learnt unit was audited");
     }
 
     #[test]
