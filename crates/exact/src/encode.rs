@@ -1,7 +1,9 @@
 //! Lowering one clustered modulo-scheduling instance at a fixed II into
 //! CNF, decoding a satisfying model back into an [`Assignment`] plus
 //! [`Schedule`], and the reverse: pinning a given schedule's placement
-//! and timing onto the encoding's primary literals (a *lift*).
+//! and timing onto the encoding's primary literals (a *lift*). A lift
+//! asserts each primary literal's value as the variable is made, so
+//! every later clause the witness satisfies is dropped as it is added.
 //!
 //! # Variable schema
 //!
@@ -56,7 +58,7 @@ use clasp_ddg::{Ddg, DepEdge, NodeId, OpKind, Operation};
 use clasp_machine::{ClusterId, Interconnect, MachineSpec};
 use clasp_mrt::{ClusterMap, CopyMeta};
 use clasp_sched::{validate_schedule, Schedule};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
 /// Why a witness `(Assignment, Schedule)` could not be lifted into the
@@ -129,6 +131,102 @@ impl fmt::Display for LiftError {
 }
 
 impl std::error::Error for LiftError {}
+
+/// A witness's values for the encoding's primary variables, checked
+/// against the variables [`encode`] makes: for every original node its
+/// cluster and issue cycle, and for every (producer, cluster) pair a copy
+/// serves, that copy's issue cycle. Every other pair has no copy.
+pub(crate) struct Pins {
+    /// Per original node: `(cluster, issue cycle)`.
+    nodes: Vec<(ClusterId, usize)>,
+    /// Issue cycle of the copy serving each (producer, cluster) pair.
+    copies: BTreeMap<(NodeId, ClusterId), usize>,
+}
+
+impl Pins {
+    /// Pins for `witness` at the working-graph issue cycles `times`, all
+    /// inside the horizon.
+    ///
+    /// The witness must pass `validate_assignment` and be chain-free.
+    ///
+    /// # Errors
+    ///
+    /// [`LiftError::UnmodelledCopy`] for a copy with no variable in the
+    /// encoding (its pair is not modelled, its link is not the routed
+    /// one, or another copy already serves its pair);
+    /// [`LiftError::Invalid`] for a copy with no feed edge.
+    pub(crate) fn new(
+        g: &Ddg,
+        machine: &MachineSpec,
+        witness: &Assignment,
+        times: &[i64],
+    ) -> Result<Pins, LiftError> {
+        let (wg, map) = (&witness.graph, &witness.map);
+        let nodes = g
+            .node_ids()
+            .map(|i| {
+                let c = map
+                    .cluster_of(i)
+                    .expect("validated: every original node is assigned");
+                (c, times[i.index()] as usize)
+            })
+            .collect();
+        let mut copies = BTreeMap::new();
+        for (copy, meta) in map.copies() {
+            let Some((_, feed)) = wg.pred_edges(copy).next() else {
+                return Err(LiftError::Invalid {
+                    reason: format!("copy {copy} has no feed edge"),
+                });
+            };
+            let producer = feed.src;
+            for &d in &meta.targets {
+                let modelled = copy_dests(g, machine, producer).contains(&d);
+                let routed = meta.link == machine.interconnect().link_between(meta.src, d);
+                let cycle = times[copy.index()] as usize;
+                if !modelled || !routed || copies.insert((producer, d), cycle).is_some() {
+                    return Err(LiftError::UnmodelledCopy {
+                        producer,
+                        cluster: d,
+                    });
+                }
+            }
+        }
+        Ok(Pins { nodes, copies })
+    }
+}
+
+/// Assert the one-hot `lits` to select index `at` (or none) as units.
+fn pin_one_hot(s: &mut Solver, lits: &[Lit], at: Option<usize>) {
+    for (k, &l) in lits.iter().enumerate() {
+        s.add_clause(&[if Some(k) == at { l } else { !l }]);
+    }
+}
+
+/// The destination clusters the encoding gives copies of `p`'s value, in
+/// ascending order: every cluster some consumer of the value can execute
+/// on. Empty when `p` produces no value, is not a node of `g`, or the
+/// fabric carries no copies.
+fn copy_dests(g: &Ddg, machine: &MachineSpec, p: NodeId) -> Vec<ClusterId> {
+    let mut dests: Vec<ClusterId> = Vec::new();
+    if p.index() >= g.node_count()
+        || !g.op(p).kind.produces_value()
+        || !has_transport(machine.interconnect())
+    {
+        return dests;
+    }
+    for (_, e) in g.succ_edges(p) {
+        if e.dst == p {
+            continue;
+        }
+        for c in machine.executing_clusters(g.op(e.dst).kind) {
+            if !dests.contains(&c) {
+                dests.push(c);
+            }
+        }
+    }
+    dests.sort();
+    dests
+}
 
 /// Lit lists for one potential copy `(producer, destination cluster)`.
 struct CopyLits {
@@ -275,7 +373,10 @@ fn make_prefix(s: &mut Solver, times: &[Lit]) -> Vec<Lit> {
 /// Encode `(g, machine)` at a fixed `ii > 0` into CNF.
 ///
 /// `g` must be a pure source graph: no pre-existing copy operations.
-pub(crate) fn encode(g: &Ddg, machine: &MachineSpec, ii: u32) -> Encoding {
+/// With `pins`, every primary variable (`C`, `T`, `E`, `Tc`) is asserted
+/// to its pinned value as soon as it is made, so the solver drops each
+/// later clause the pins satisfy; without, the search's formula is built.
+pub(crate) fn encode(g: &Ddg, machine: &MachineSpec, ii: u32, pins: Option<&Pins>) -> Encoding {
     assert!(ii > 0, "II must be positive");
     let n = g.node_count();
     let h = horizon(g, ii);
@@ -295,8 +396,15 @@ pub(crate) fn encode(g: &Ddg, machine: &MachineSpec, ii: u32) -> Encoding {
         let legal = machine.executing_clusters(op.kind);
         let cl: Vec<(ClusterId, Lit)> = legal.iter().map(|&c| (c, Lit::pos(s.new_var()))).collect();
         let cvars: Vec<Lit> = cl.iter().map(|&(_, l)| l).collect();
+        let pin = pins.map(|p| p.nodes[i.index()]);
+        if let Some((c, _)) = pin {
+            pin_one_hot(&mut s, &cvars, legal.iter().position(|&x| x == c));
+        }
         add_exactly_one(&mut s, &cvars);
         let tl: Vec<Lit> = (0..h).map(|_| Lit::pos(s.new_var())).collect();
+        if let Some((_, t)) = pin {
+            pin_one_hot(&mut s, &tl, Some(t));
+        }
         add_exactly_one(&mut s, &tl);
         let pf = make_prefix(&mut s, &tl);
         cluster_lits.push(cl);
@@ -364,25 +472,18 @@ pub(crate) fn encode(g: &Ddg, machine: &MachineSpec, ii: u32) -> Encoding {
     let mut copy_prefix: HashMap<(NodeId, ClusterId), Vec<Lit>> = HashMap::new();
     if transport {
         for (p, op) in g.nodes() {
-            if !op.kind.produces_value() {
-                continue;
-            }
-            let mut dests: Vec<ClusterId> = Vec::new();
-            for (_, e) in g.succ_edges(p) {
-                if e.dst == p {
-                    continue;
-                }
-                for c in machine.executing_clusters(g.op(e.dst).kind) {
-                    if !dests.contains(&c) {
-                        dests.push(c);
-                    }
-                }
-            }
-            dests.sort();
             let src_lat = i64::from(op.kind.latency());
-            for d in dests {
+            for d in copy_dests(g, machine, p) {
                 let exist = Lit::pos(s.new_var());
+                // With pins: the pinned copy's cycle, `None` for no copy.
+                let pin = pins.map(|pins| pins.copies.get(&(p, d)).copied());
+                if let Some(at) = pin {
+                    s.add_clause(&[if at.is_some() { exist } else { !exist }]);
+                }
                 let times: Vec<Lit> = (0..h).map(|_| Lit::pos(s.new_var())).collect();
+                if let Some(at) = pin {
+                    pin_one_hot(&mut s, &times, at);
+                }
                 let mut onset: Vec<Lit> = vec![!exist];
                 onset.extend(times.iter().copied());
                 s.add_clause(&onset);
@@ -562,66 +663,6 @@ pub(crate) fn encode(g: &Ddg, machine: &MachineSpec, ii: u32) -> Encoding {
 }
 
 impl Encoding {
-    /// Pin the primary literals to a witness: `C` and `T` of every
-    /// original node, `E` and `Tc` of every copy target, and `¬E` of every
-    /// (producer, cluster) pair no copy serves. `times` holds the
-    /// witness's working-graph issue cycles, all inside the horizon.
-    ///
-    /// The witness must pass `validate_assignment` and be chain-free.
-    ///
-    /// # Errors
-    ///
-    /// [`LiftError::UnmodelledCopy`] for a copy with no variable here;
-    /// [`LiftError::Invalid`] for a copy with no feed edge.
-    pub(crate) fn pin_witness(
-        &mut self,
-        machine: &MachineSpec,
-        witness: &Assignment,
-        times: &[i64],
-    ) -> Result<(), LiftError> {
-        let (wg, map) = (&witness.graph, &witness.map);
-        for (i, (clusters, cycles)) in self.cluster_lits.iter().zip(&self.time_lits).enumerate() {
-            let c = map
-                .cluster_of(NodeId(i as u32))
-                .expect("validated: every original node is assigned");
-            let &(_, cl) = clusters
-                .iter()
-                .find(|&&(cc, _)| cc == c)
-                .expect("validated: the node's cluster can execute it");
-            self.solver.add_clause(&[cl]);
-            self.solver.add_clause(&[cycles[times[i] as usize]]);
-        }
-        let mut served: BTreeSet<(NodeId, ClusterId)> = BTreeSet::new();
-        for (copy, meta) in map.copies() {
-            let Some((_, feed)) = wg.pred_edges(copy).next() else {
-                return Err(LiftError::Invalid {
-                    reason: format!("copy {copy} has no feed edge"),
-                });
-            };
-            let producer = feed.src;
-            for &d in &meta.targets {
-                let unmodelled = || LiftError::UnmodelledCopy {
-                    producer,
-                    cluster: d,
-                };
-                let lits = self.copy_lits.get(&(producer, d)).ok_or_else(unmodelled)?;
-                let routed = meta.link == machine.interconnect().link_between(meta.src, d);
-                if !routed || !served.insert((producer, d)) {
-                    return Err(unmodelled());
-                }
-                self.solver.add_clause(&[lits.exist]);
-                self.solver
-                    .add_clause(&[lits.times[times[copy.index()] as usize]]);
-            }
-        }
-        for (pair, lits) in &self.copy_lits {
-            if !served.contains(pair) {
-                self.solver.add_clause(&[!lits.exist]);
-            }
-        }
-        Ok(())
-    }
-
     /// Truth value of a stored (always-positive) literal under `model`.
     fn tv(model: &[bool], l: Lit) -> bool {
         model[l.var() as usize] != l.is_neg()
@@ -819,5 +860,49 @@ impl Encoding {
     /// The flat time horizon used by the encoding (diagnostics).
     pub(crate) fn horizon(&self) -> usize {
         self.horizon
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::solver::Outcome;
+    use clasp_machine::presets;
+
+    /// The lift formula of `g` at `ii` with original node `i` pinned to
+    /// cluster 0 at `cycles[i]`, solved.
+    fn solve_pinned(g: &Ddg, m: &MachineSpec, ii: u32, cycles: &[usize]) -> Outcome {
+        let pins = Pins {
+            nodes: cycles.iter().map(|&t| (ClusterId(0), t)).collect(),
+            copies: BTreeMap::new(),
+        };
+        encode(g, m, ii, Some(&pins)).solver.solve(u64::MAX)
+    }
+
+    /// Pins are asserted before the clauses they could break, and every
+    /// clause they satisfy is dropped as it is added; a clause they
+    /// violate must still refute the formula.
+    #[test]
+    fn pins_that_break_the_encoding_are_unsat() {
+        // Two chained adds on a one-wide machine at II 2: cycles 0 and 2
+        // share kernel row 0.
+        let mut g = Ddg::new("one-row");
+        let a = g.add(OpKind::IntAlu);
+        let b = g.add(OpKind::IntAlu);
+        g.add_dep(a, b);
+        let one_wide = presets::unified_gp(1);
+        assert!(matches!(
+            solve_pinned(&g, &one_wide, 2, &[0, 1]),
+            Outcome::Sat(_)
+        ));
+        assert_eq!(solve_pinned(&g, &one_wide, 2, &[0, 2]), Outcome::Unsat);
+        // A load (latency 2) feeding an add issued one cycle after it.
+        let mut g = Ddg::new("early");
+        let ld = g.add(OpKind::Load);
+        let add = g.add(OpKind::IntAlu);
+        g.add_dep(ld, add);
+        let m = presets::unified_gp(2);
+        assert!(matches!(solve_pinned(&g, &m, 1, &[0, 2]), Outcome::Sat(_)));
+        assert_eq!(solve_pinned(&g, &m, 1, &[0, 1]), Outcome::Unsat);
     }
 }

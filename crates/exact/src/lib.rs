@@ -14,7 +14,12 @@
 //! The minimal-II query [`exact_ii`] is witness-first: MII is a lower
 //! bound on every schedule, so one heuristic schedule at MII that
 //! [`lift_witness`] pins onto the encoding proves the answer, and the
-//! search runs only when no such witness lifts.
+//! search runs only when no such witness lifts. A lift is a check, not a
+//! search: the pins are asserted as the CNF is built, so the solver keeps
+//! only the clauses they leave open, and [`Solver::solve`] first tries
+//! the assignment in which every unassigned variable reads its saved
+//! phase, which answers the lift without a decision whenever it
+//! satisfies every stored clause.
 //!
 //! The solver underneath ([`Solver`]) is a self-contained CDCL core —
 //! two-watched literals, first-UIP learning, VSIDS-style activities,
@@ -121,7 +126,7 @@ pub fn exact_at_ii(
             nodes,
         });
     }
-    let mut enc = encode::encode(g, machine, ii);
+    let mut enc = encode::encode(g, machine, ii, None);
     match enc.solver.solve(config.max_conflicts) {
         Outcome::Sat(model) => Ok(enc.decode(g, machine, ii, &model, 1)),
         Outcome::Unsat => Err(SchedFailure::Infeasible { ii }),
@@ -172,7 +177,7 @@ pub fn exact_schedule_with(
     let (min_ii, max_ii) = ii_search_range(g, machine.mii(g), None)?;
     let mut attempts = 0u32;
     for ii in min_ii..=max_ii {
-        let mut enc = encode::encode(g, machine, ii);
+        let mut enc = encode::encode(g, machine, ii, None);
         attempts += 1;
         let outcome = enc.solver.solve(config.max_conflicts);
         let mut attempt = IiAttempt {
@@ -210,12 +215,17 @@ pub fn exact_schedule_with(
 
 /// Check that the encoding at `schedule`'s II accepts a witness: pin its
 /// placement, issue cycles and copies onto the encoding's primary
-/// literals as unit clauses, solve, and decode the model through the
-/// validators.
+/// literals, solve, and decode the model through the validators.
 ///
 /// The witness is checked first (`validate_assignment`,
 /// `validate_schedule`), then normalized: every node keeps its kernel row
-/// and takes its least stage, which keeps a valid schedule valid. `Ok`
+/// and takes its least stage, which keeps a valid schedule valid. Each
+/// primary variable is asserted to its pinned value, both polarities, as
+/// the encoder makes it, so every later clause the witness satisfies is
+/// dropped as it is added. The solve then reads each unassigned
+/// auxiliary variable's saved phase (`false`); where that satisfies the
+/// clauses left, as on machines whose clusters have one kind of unit,
+/// the lift makes no decision, and otherwise the CDCL loop runs. `Ok`
 /// proves the II feasible for the encoding and shows that it admits this
 /// particular schedule.
 ///
@@ -259,8 +269,8 @@ pub fn lift_witness(
             horizon,
         });
     }
-    let mut enc = encode::encode(g, machine, ii);
-    enc.pin_witness(machine, assignment, &times)?;
+    let pins = encode::Pins::new(g, machine, assignment, &times)?;
+    let mut enc = encode::encode(g, machine, ii, Some(&pins));
     match enc.solver.solve(config.max_conflicts) {
         Outcome::Sat(model) => {
             // Decoding replays the model through both validators.

@@ -69,8 +69,9 @@ impl fmt::Debug for Lit {
 /// Result of a bounded solve.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Outcome {
-    /// Satisfiable; the model maps every variable to a value (variables
-    /// untouched by any clause read `false`).
+    /// Satisfiable; the model maps every variable to a value. A variable
+    /// no clause or decision fixed reads its saved phase, which is
+    /// `false` until a backtrack saves another.
     Sat(Vec<bool>),
     /// Proved unsatisfiable.
     Unsat,
@@ -314,18 +315,29 @@ impl Solver {
         self.buf.trail_lim.len() as u32
     }
 
-    /// Add a clause (callable only before [`Solver::solve`], i.e. at
-    /// decision level 0). Returns `false` once the formula is known
-    /// unsatisfiable at top level.
+    /// Add a clause at decision level 0, where [`Solver::solve`] always
+    /// returns. A clause with a literal already true at level 0 is
+    /// dropped; any other is stored without its false literals. Returns
+    /// `false` once the formula is known unsatisfiable at top level.
     ///
     /// # Panics
     ///
-    /// Panics if called below decision level 0 is impossible; panics if a
-    /// literal references an unallocated variable.
+    /// Panics if a literal references an unallocated variable, even when
+    /// another literal of the clause is already true.
     pub fn add_clause(&mut self, lits: &[Lit]) -> bool {
         assert_eq!(self.decision_level(), 0, "clauses are added at level 0");
         if !self.ok {
             return false;
+        }
+        // Checked before the copy and the sort: on a lift most clauses
+        // hold a literal the witness's units already made true.
+        let mut satisfied = false;
+        for &l in lits {
+            assert!((l.var() as usize) < self.num_vars(), "unknown variable");
+            satisfied |= self.lit_value(l) == VAL_TRUE;
+        }
+        if satisfied {
+            return true;
         }
         let mut c = std::mem::take(&mut self.buf.scratch);
         c.clear();
@@ -335,22 +347,16 @@ impl Solver {
         ok
     }
 
-    /// [`Solver::add_clause`] on a copy of the clause it may reorder and
-    /// shrink.
+    /// [`Solver::add_clause`] on a copy of a clause with no true literal,
+    /// which it may reorder and shrink.
     fn add_normalized(&mut self, c: &mut Vec<Lit>) -> bool {
         c.sort_unstable();
         c.dedup();
-        // Tautology or already-satisfied clause: drop it.
+        // Tautology: drop it.
         if c.windows(2).any(|w| w[0].var() == w[1].var()) {
             return true;
         }
-        c.retain(|&l| {
-            assert!((l.var() as usize) < self.num_vars(), "unknown variable");
-            self.lit_value(l) != VAL_FALSE
-        });
-        if c.iter().any(|&l| self.lit_value(l) == VAL_TRUE) {
-            return true;
-        }
+        c.retain(|&l| self.lit_value(l) != VAL_FALSE);
         match c.len() {
             0 => {
                 self.ok = false;
@@ -632,14 +638,57 @@ impl Solver {
     }
 
     /// Solve the formula under a conflict budget.
+    ///
+    /// After level-0 propagation, the total assignment in which every
+    /// unassigned variable takes its saved phase is tried first. When it
+    /// satisfies every stored clause it is the model, with no decision
+    /// made: it is the model the CDCL loop's first descent reaches,
+    /// since every decision there takes the saved phase and a
+    /// propagation can only force a value that assignment already holds.
+    /// Otherwise the CDCL loop runs as if the check had not been made.
     pub fn solve(&mut self, max_conflicts: u64) -> Outcome {
-        if !self.ok {
+        if !self.propagate_level0() {
             return Outcome::Unsat;
         }
-        if self.propagate().is_some() {
+        if let Some(model) = self.phase_model() {
+            return Outcome::Sat(model);
+        }
+        self.cdcl(max_conflicts)
+    }
+
+    /// Propagate the level-0 units; `false` once the formula is refuted
+    /// at level 0.
+    fn propagate_level0(&mut self) -> bool {
+        if self.ok && self.propagate().is_some() {
             self.ok = false;
-            return Outcome::Unsat;
         }
+        self.ok
+    }
+
+    /// The level-0 assignment completed by every unassigned variable's
+    /// saved phase, when it satisfies every stored clause. The scan stops
+    /// at the first clause it leaves unsatisfied.
+    fn phase_model(&self) -> Option<Vec<bool>> {
+        let b = &self.buf;
+        let value = |v: usize| match b.assigns[v] {
+            VAL_UNDEF => b.polarity[v],
+            a => a == VAL_TRUE,
+        };
+        let satisfies = |c: &Clause| {
+            b.lits[c.range()]
+                .iter()
+                .any(|&l| value(l.var() as usize) != l.is_neg())
+        };
+        b.clauses
+            .iter()
+            .all(satisfies)
+            .then(|| (0..b.assigns.len()).map(value).collect())
+    }
+
+    /// The CDCL loop, from level 0 once level-0 propagation found no
+    /// conflict; `solve` runs it when the saved-phase completion
+    /// declines.
+    fn cdcl(&mut self, max_conflicts: u64) -> Outcome {
         let start_conflicts = self.conflicts;
         let mut restarts = 0u64;
         let mut since_restart = 0u64;
@@ -839,13 +888,71 @@ mod tests {
         s.level0_trail().filter(|&(_, unit)| unit).count()
     }
 
+    /// Outcome, conflicts and learnt clauses of a solve that returned
+    /// `out` on `s`.
+    fn report(s: &Solver, out: Outcome) -> (Outcome, u64, Vec<Vec<Lit>>) {
+        let learnt = s.learnt_clauses().map(<[Lit]>::to_vec).collect();
+        (out, s.conflicts(), learnt)
+    }
+
+    /// Solve the formula `load` builds twice, through [`Solver::solve`]
+    /// and through the CDCL loop alone, and assert the same outcome,
+    /// model, conflicts and learnt clauses. Returns whether the
+    /// saved-phase completion answered, or `None` for a formula refuted
+    /// at level 0, which never reaches it.
+    fn completion_matches_cdcl(load: impl Fn() -> Solver) -> Option<bool> {
+        let mut full = load();
+        let solved = full.solve(u64::MAX);
+        let mut alone = load();
+        if !alone.propagate_level0() {
+            assert_eq!(solved, Outcome::Unsat);
+            return None;
+        }
+        let completed = alone.phase_model().is_some();
+        let searched = alone.cdcl(u64::MAX);
+        assert_eq!(
+            report(&full, solved),
+            report(&alone, searched),
+            "the completion is not the CDCL loop's first descent"
+        );
+        Some(completed)
+    }
+
+    /// What the formula-family tests audited: the learnt units, and how
+    /// many formulas the saved-phase completion answered or declined.
+    #[derive(Default)]
+    struct Audit {
+        learnt_units: usize,
+        completed: usize,
+        declined: usize,
+    }
+
+    impl Audit {
+        /// Fail unless every kind of case was met at least once.
+        fn assert_not_vacuous(&self) {
+            assert!(self.learnt_units > 0, "no learnt unit was audited");
+            assert!(
+                self.completed > 0 && self.declined > 0,
+                "the completion answered {} formulas and declined {}",
+                self.completed,
+                self.declined
+            );
+        }
+    }
+
     /// Cross-check CDCL against brute force on one formula, and audit
     /// every learnt clause and every level-0 literal against every
     /// brute-force model (a learnt clause that excludes a model, or a
     /// fixed literal that one falsifies, would be an unsoundness). The
     /// level-0 trail holds the learnt units, which the solver does not
-    /// store as clauses. Returns how many learnt units the solve made.
-    fn cross_check(n: usize, clauses: &[Vec<Lit>]) -> usize {
+    /// store as clauses. Also checks that `solve` decides as the CDCL
+    /// loop alone does, and counts both into `audit`.
+    fn cross_check(n: usize, clauses: &[Vec<Lit>], audit: &mut Audit) {
+        match completion_matches_cdcl(|| load_formula(n, clauses).1) {
+            Some(true) => audit.completed += 1,
+            Some(false) => audit.declined += 1,
+            None => {}
+        }
         let (ok, mut s) = load_formula(n, clauses);
         let given_units = level0_units(&s);
         let out = if ok {
@@ -880,7 +987,7 @@ mod tests {
                 }
             }
         }
-        level0_units(&s) - given_units
+        audit.learnt_units += level0_units(&s) - given_units;
     }
 
     /// Every clause with up to 3 literals over 3 vars (no tautologies,
@@ -911,11 +1018,11 @@ mod tests {
         let pool = all_small_clauses();
         // Every single clause and every pair; triples sampled densely by
         // a fixed stride to keep the test under a second.
-        let mut units = 0;
+        let mut audit = Audit::default();
         for i in 0..pool.len() {
-            units += cross_check(3, &[pool[i].clone()]);
+            cross_check(3, &[pool[i].clone()], &mut audit);
             for j in i..pool.len() {
-                units += cross_check(3, &[pool[i].clone(), pool[j].clone()]);
+                cross_check(3, &[pool[i].clone(), pool[j].clone()], &mut audit);
             }
         }
         let mut idx = 0usize;
@@ -925,16 +1032,17 @@ mod tests {
                 idx / pool.len() % pool.len(),
                 idx % pool.len(),
             );
-            units += cross_check(3, &[pool[i].clone(), pool[j].clone(), pool[k].clone()]);
+            let triple = [pool[i].clone(), pool[j].clone(), pool[k].clone()];
+            cross_check(3, &triple, &mut audit);
             idx += 97; // prime stride: 26^3/97 ≈ 180 triples
         }
-        assert!(units > 0, "no learnt unit was audited");
+        audit.assert_not_vacuous();
     }
 
     #[test]
     fn random_formulas_up_to_4_vars_6_clauses() {
         let mut rng = Rng(0x9E3779B97F4A7C15);
-        let mut units = 0;
+        let mut audit = Audit::default();
         for _ in 0..4000 {
             let n = 1 + rng.below(4) as usize;
             let m = 1 + rng.below(6) as usize;
@@ -953,9 +1061,75 @@ mod tests {
                         .collect()
                 })
                 .collect();
-            units += cross_check(n, &clauses);
+            cross_check(n, &clauses, &mut audit);
         }
-        assert!(units > 0, "no learnt unit was audited");
+        audit.assert_not_vacuous();
+    }
+
+    /// Lift encodings, pinned to a heuristic schedule at MII: the
+    /// completion answers every one on machines whose clusters have one
+    /// kind of unit (2c-gp only general-purpose, 2c-fs only dedicated),
+    /// and declines every one where a claimed op still chooses between
+    /// a dedicated and a general-purpose unit.
+    #[test]
+    fn pinned_lifts_complete_as_the_first_descent() {
+        use crate::encode::{encode, horizon, least_stage_times, Pins};
+        use clasp_machine::{presets, ClusterSpec, Interconnect, MachineSpec};
+        let mixed = MachineSpec::new(
+            "mixed",
+            vec![
+                ClusterSpec {
+                    general: 1,
+                    memory: 1,
+                    integer: 1,
+                    float: 1,
+                };
+                2
+            ],
+            Interconnect::Bus {
+                buses: 2,
+                read_ports: 1,
+                write_ports: 1,
+            },
+        );
+        let corpus = clasp_loopgen::generate_corpus(clasp_loopgen::CorpusConfig {
+            loops: 30,
+            scc_loops: 8,
+            seed: 0,
+        });
+        for (m, completes) in [
+            (presets::two_cluster_gp(2, 1), true),
+            (presets::two_cluster_fs(2, 1), true),
+            (mixed, false),
+        ] {
+            let lifts: Vec<_> = corpus
+                .iter()
+                .filter(|g| g.node_count() <= 8)
+                .filter_map(|g| {
+                    let (a, s) = crate::heuristic_at_mii(g, &m)?;
+                    let times = least_stage_times(&a.graph, &s);
+                    let inside = times.iter().all(|&t| t < horizon(g, s.ii()) as i64);
+                    let pins = Pins::new(g, &m, &a, &times).ok().filter(|_| inside)?;
+                    Some((g, s.ii(), pins))
+                })
+                .take(4)
+                .collect();
+            assert_eq!(lifts.len(), 4, "too few lifts on {}", m.name());
+            for (g, ii, pins) in &lifts {
+                let load = || encode(g, &m, *ii, Some(pins)).solver;
+                let completed = completion_matches_cdcl(load);
+                assert_eq!(completed, Some(completes), "{} on {}", g.name(), m.name());
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown variable")]
+    fn a_true_literal_does_not_hide_an_unknown_variable() {
+        let mut s = Solver::new();
+        let x = s.new_var();
+        assert!(s.add_clause(&[Lit::pos(x)]));
+        s.add_clause(&[Lit::pos(x), Lit::pos(x + 1)]);
     }
 
     #[test]
@@ -1052,8 +1226,7 @@ mod tests {
     /// Outcome, conflicts and learnt clauses of one solve of `clauses`.
     fn solve_report(vars: u32, clauses: &[Vec<Lit>]) -> (Outcome, u64, Vec<Vec<Lit>>) {
         let (out, s) = solve_formula(vars as usize, clauses);
-        let learnt = s.learnt_clauses().map(<[Lit]>::to_vec).collect();
-        (out, s.conflicts(), learnt)
+        report(&s, out)
     }
 
     #[test]

@@ -1,14 +1,15 @@
-//! Bounds the allocator traffic of one fixed-II exact solve. A warm
-//! `exact_at_ii` call builds its CNF in the flat clause arena of a
-//! recycled solver: the per-clause literal vectors and the per-literal
-//! watch lists of a fresh solver are gone, so what remains is the
-//! encoder's variable tables and the decode through the validators.
+//! Bounds the allocator traffic of one fixed-II exact solve and of one
+//! witness lift. A warm `exact_at_ii` or `lift_witness` call builds its
+//! CNF in the flat clause arena of a recycled solver: the per-clause
+//! literal vectors and the per-literal watch lists of a fresh solver are
+//! gone, so what remains is the encoder's variable tables, the lift's
+//! checks and pins, and the decode through the validators.
 //!
 //! A counting global allocator wraps the system one. Counts are kept per
 //! thread, so concurrently running tests cannot perturb each other.
 
 use clasp_ddg::{Ddg, OpKind};
-use clasp_exact::{exact_at_ii, ExactConfig};
+use clasp_exact::{exact_at_ii, lift_witness, ExactConfig};
 use clasp_machine::presets;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -100,5 +101,25 @@ fn a_warm_fixed_ii_solve_stays_near_its_floor() {
     assert!(
         delta <= 1_400,
         "warm exact_at_ii allocated {delta} times; expected about 700"
+    );
+}
+
+/// The witness is the exact solve's own schedule at MII, so the lift
+/// checks every pin before it encodes and the completion answers it.
+#[test]
+fn a_warm_lift_stays_near_its_floor() {
+    let g = two_macs();
+    let m = presets::two_cluster_gp(2, 1);
+    let cfg = ExactConfig::default();
+    let (a, s) = exact_at_ii(&g, &m, m.mii(&g), cfg).expect("feasible at MII");
+    assert_eq!(lift_witness(&g, &m, &a, &s, cfg), Ok(()));
+    let before = allocs();
+    let warm = lift_witness(&g, &m, &a, &s, cfg);
+    let delta = allocs() - before;
+    assert_eq!(warm, Ok(()));
+    // Measured: 734 allocations warm, the same headroom as above.
+    assert!(
+        delta <= 1_500,
+        "warm lift_witness allocated {delta} times; expected about 730"
     );
 }
