@@ -148,6 +148,42 @@ impl OpKind {
         !matches!(self, OpKind::Store | OpKind::Branch)
     }
 
+    /// The canonical token naming this kind in `.clasp` text and the
+    /// artifact codec. Copies never appear in hand-written input, but
+    /// working graphs round-trip through both, so they get their own
+    /// token rather than masquerading as `alu`.
+    pub fn token(self) -> &'static str {
+        match self {
+            OpKind::IntAlu => "alu",
+            OpKind::Shift => "shift",
+            OpKind::Branch => "br",
+            OpKind::Load => "load",
+            OpKind::Store => "store",
+            OpKind::FpAdd => "fadd",
+            OpKind::FpMult => "fmul",
+            OpKind::FpDiv => "fdiv",
+            OpKind::FpSqrt => "fsqrt",
+            OpKind::Copy => "cp",
+        }
+    }
+
+    /// The kind whose [`OpKind::token`] is `token`, or `None`; strict,
+    /// with no aliases.
+    ///
+    /// ```
+    /// use clasp_ddg::OpKind;
+    ///
+    /// assert_eq!(OpKind::parse("fmul"), Some(OpKind::FpMult));
+    /// assert_eq!(OpKind::parse(OpKind::Copy.token()), Some(OpKind::Copy));
+    /// assert_eq!(OpKind::parse("ld"), None);
+    /// ```
+    pub fn parse(token: &str) -> Option<OpKind> {
+        OpKind::REAL_OPS
+            .into_iter()
+            .chain([OpKind::Copy])
+            .find(|k| k.token() == token)
+    }
+
     /// Short mnemonic used in dumps and graphviz output.
     pub fn mnemonic(self) -> &'static str {
         match self {

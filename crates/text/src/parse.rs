@@ -78,21 +78,16 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// The kind `token` names: a canonical [`OpKind::token`] or one of the
+/// input-only aliases.
 fn kind_of(token: &str) -> Option<OpKind> {
-    Some(match token {
-        "alu" => OpKind::IntAlu,
-        "shift" | "shl" => OpKind::Shift,
-        "br" | "branch" => OpKind::Branch,
-        "load" | "ld" => OpKind::Load,
-        "store" | "st" => OpKind::Store,
-        "fadd" => OpKind::FpAdd,
-        "fmul" => OpKind::FpMult,
-        "fdiv" => OpKind::FpDiv,
-        "fsqrt" => OpKind::FpSqrt,
-        // Emitted only by the writer for working graphs (the artifact
-        // codec round-trips them); accepted on input for symmetry.
-        "cp" | "copy" => OpKind::Copy,
-        _ => return None,
+    OpKind::parse(token).or(match token {
+        "shl" => Some(OpKind::Shift),
+        "branch" => Some(OpKind::Branch),
+        "ld" => Some(OpKind::Load),
+        "st" => Some(OpKind::Store),
+        "copy" => Some(OpKind::Copy),
+        _ => None,
     })
 }
 

@@ -1,27 +1,8 @@
 //! Writer for the `.clasp` loop format: renders a [`Ddg`] back to text
 //! that [`crate::parse_loop`] reproduces exactly (up to generated ids).
 
-use clasp_ddg::{Ddg, OpKind};
+use clasp_ddg::Ddg;
 use std::fmt;
-
-fn kind_token(k: OpKind) -> &'static str {
-    match k {
-        OpKind::IntAlu => "alu",
-        OpKind::Shift => "shift",
-        OpKind::Branch => "br",
-        OpKind::Load => "load",
-        OpKind::Store => "store",
-        OpKind::FpAdd => "fadd",
-        OpKind::FpMult => "fmul",
-        OpKind::FpDiv => "fdiv",
-        OpKind::FpSqrt => "fsqrt",
-        // Copies never appear in hand-written input, but working graphs
-        // (and the persisted-artifact codec) round-trip through the
-        // writer, so they get their own token rather than masquerading
-        // as `alu`.
-        OpKind::Copy => "cp",
-    }
-}
 
 /// Render `g` as a `.clasp` loop description.
 ///
@@ -60,7 +41,7 @@ pub fn write_loop_into<W: fmt::Write>(g: &Ddg, w: &mut W) -> fmt::Result {
     writeln!(w)?;
     writeln!(w)?;
     for (n, op) in g.nodes() {
-        write!(w, "op n{} {}", n.0, kind_token(op.kind))?;
+        write!(w, "op n{} {}", n.0, op.kind.token())?;
         if let Some(name) = &op.name {
             write!(w, " \"")?;
             for c in name.chars() {
@@ -104,6 +85,7 @@ pub(crate) fn sanitize_into<W: fmt::Write>(name: &str, fallback: &str, w: &mut W
 mod tests {
     use super::*;
     use crate::parse::parse_loop;
+    use clasp_ddg::OpKind;
 
     fn roundtrip(g: &Ddg) -> Ddg {
         parse_loop(&write_loop(g)).expect("round-trip parses")

@@ -101,6 +101,7 @@
 
 use clasp::serve::Client;
 use clasp::service::{CompileService, ServiceConfig, ServiceRequest};
+use clasp::strata::CLASSIC_PRESETS;
 use clasp::{
     unified_ii, BackendKind, CompileRequest, CompiledArtifact, PipelineConfig, RegisterModelKind,
 };
@@ -231,25 +232,14 @@ fn build_machine(opts: &Options) -> Result<MachineSpec, String> {
         let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
         return clasp_text::parse_machine(&text).map_err(|e| format!("{path}: {e}"));
     }
-    let b = |d: u32| opts.buses.unwrap_or(d);
-    let p = |d: u32| opts.ports.unwrap_or(d);
-    Ok(match opts.machine.as_str() {
-        "2c-gp" => presets::two_cluster_gp(b(2), p(1)),
-        "4c-gp" => presets::four_cluster_gp(b(4), p(2)),
-        "6c-gp" => presets::six_cluster_gp(b(6), p(3)),
-        "8c-gp" => presets::eight_cluster_gp(b(7), p(3)),
-        "2c-fs" => presets::two_cluster_fs(b(2), p(1)),
-        "4c-fs" => presets::four_cluster_fs(b(4), p(2)),
-        "grid" => presets::four_cluster_grid(p(2)),
-        "unified" => presets::unified_gp(8),
+    let name = opts.machine.as_str();
+    match CLASSIC_PRESETS.iter().find(|(classic, _)| *classic == name) {
+        Some((_, build)) => Ok(build(opts.buses, opts.ports)),
         // The parameterized families (mesh4x4, torus3x3, pe-grid2x3,
         // het6c-s2a, ...) are pure functions of their name — no
         // --buses/--ports overrides, exactly as `.machine` text pins them.
-        other => {
-            return clasp::strata::machine_by_name(other)
-                .ok_or_else(|| format!("unknown machine preset `{other}`"))
-        }
-    })
+        None => presets::by_name(name).ok_or_else(|| format!("unknown machine preset `{name}`")),
+    }
 }
 
 fn parse_variant(s: &str) -> Result<Variant, String> {
@@ -597,16 +587,10 @@ fn corpus_cmd(args: &[String]) -> Result<bool, String> {
 /// The preset list `batch` and `machines` share (name, spec), in the
 /// order they are printed.
 fn preset_list() -> Vec<(&'static str, MachineSpec)> {
-    vec![
-        ("2c-gp", presets::two_cluster_gp(2, 1)),
-        ("4c-gp", presets::four_cluster_gp(4, 2)),
-        ("6c-gp", presets::six_cluster_gp(6, 3)),
-        ("8c-gp", presets::eight_cluster_gp(7, 3)),
-        ("2c-fs", presets::two_cluster_fs(2, 1)),
-        ("4c-fs", presets::four_cluster_fs(4, 2)),
-        ("grid", presets::four_cluster_grid(2)),
-        ("unified", presets::unified_gp(8)),
-    ]
+    CLASSIC_PRESETS
+        .iter()
+        .map(|&(name, build)| (name, build(None, None)))
+        .collect()
 }
 
 /// `clasp-cli batch`: every `.clasp` loop under `--dir` against every
@@ -1108,17 +1092,10 @@ fn main() -> ExitCode {
                 .and_then(|v| BackendKind::parse(&v))
                 .map(|k| opts.backend = k)
                 .ok_or("--backend is `heuristic` or `exact`".into()),
-            "--model" => match take(&mut i).as_deref() {
-                Some("mve") => {
-                    opts.model = RegisterModelKind::Mve;
-                    Ok(())
-                }
-                Some("rotating") => {
-                    opts.model = RegisterModelKind::Rotating;
-                    Ok(())
-                }
-                _ => Err("--model is `mve` or `rotating`".into()),
-            },
+            "--model" => take(&mut i)
+                .and_then(|v| RegisterModelKind::parse(&v))
+                .map(|k| opts.model = k)
+                .ok_or("--model is `mve` or `rotating`".into()),
             "--iterations" => take(&mut i)
                 .and_then(|v| v.parse().ok())
                 .map(|v| opts.iterations = v)

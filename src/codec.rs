@@ -115,50 +115,13 @@ fn unescape(token: &str) -> Result<String, CodecError> {
     Ok(out)
 }
 
-fn kind_token(k: OpKind) -> &'static str {
-    match k {
-        OpKind::IntAlu => "alu",
-        OpKind::Shift => "shift",
-        OpKind::Branch => "br",
-        OpKind::Load => "load",
-        OpKind::Store => "store",
-        OpKind::FpAdd => "fadd",
-        OpKind::FpMult => "fmul",
-        OpKind::FpDiv => "fdiv",
-        OpKind::FpSqrt => "fsqrt",
-        OpKind::Copy => "cp",
-    }
-}
-
 fn kind_of(token: &str) -> Result<OpKind, CodecError> {
-    Ok(match token {
-        "alu" => OpKind::IntAlu,
-        "shift" => OpKind::Shift,
-        "br" => OpKind::Branch,
-        "load" => OpKind::Load,
-        "store" => OpKind::Store,
-        "fadd" => OpKind::FpAdd,
-        "fmul" => OpKind::FpMult,
-        "fdiv" => OpKind::FpDiv,
-        "fsqrt" => OpKind::FpSqrt,
-        "cp" => OpKind::Copy,
-        other => return err(format!("unknown op kind {other:?}")),
-    })
-}
-
-fn model_token(k: RegisterModelKind) -> &'static str {
-    match k {
-        RegisterModelKind::Mve => "mve",
-        RegisterModelKind::Rotating => "rotating",
-    }
+    OpKind::parse(token).ok_or_else(|| CodecError(format!("unknown op kind {token:?}")))
 }
 
 fn model_of(token: &str) -> Result<RegisterModelKind, CodecError> {
-    Ok(match token {
-        "mve" => RegisterModelKind::Mve,
-        "rotating" => RegisterModelKind::Rotating,
-        other => return err(format!("unknown register model {other:?}")),
-    })
+    RegisterModelKind::parse(token)
+        .ok_or_else(|| CodecError(format!("unknown register model {token:?}")))
 }
 
 /// A cursor over one line's whitespace-separated tokens.
@@ -317,7 +280,7 @@ fn read_sched_failure(t: &mut Tokens<'_>) -> Result<SchedFailure, CodecError> {
 fn write_schedule_error(e: &ScheduleError, out: &mut String) {
     match e {
         ScheduleError::Unscheduled { node, op } => {
-            let _ = write!(out, "unscheduled {} {}", node.0, kind_token(*op));
+            let _ = write!(out, "unscheduled {} {}", node.0, op.token());
         }
         ScheduleError::DependenceViolated {
             src,
@@ -332,13 +295,13 @@ fn write_schedule_error(e: &ScheduleError, out: &mut String) {
                 out,
                 "dep-violated {} {} {src_cycle} {} {} {dst_cycle} {slack}",
                 src.0,
-                kind_token(*src_op),
+                src_op.token(),
                 dst.0,
-                kind_token(*dst_op)
+                dst_op.token()
             );
         }
         ScheduleError::ResourceOveruse { node, op, row } => {
-            let _ = write!(out, "overuse {} {} {row}", node.0, kind_token(*op));
+            let _ = write!(out, "overuse {} {} {row}", node.0, op.token());
         }
         ScheduleError::MissingAssignment(n) => {
             let _ = write!(out, "missing-assignment {}", n.0);
@@ -575,7 +538,7 @@ pub fn encode(result: &Result<CompiledArtifact, PipelineError>, iterations: i64)
                 out,
                 "config {} {} {iterations}",
                 r.scheduler,
-                model_token(r.register_model)
+                r.register_model.token()
             );
 
             // Working graph (with copies), nodes and edges in id order.
@@ -584,7 +547,7 @@ pub fn encode(result: &Result<CompiledArtifact, PipelineError>, iterations: i64)
             escape_into(wg.name(), &mut out);
             out.push('\n');
             for (n, op) in wg.nodes() {
-                let _ = write!(out, "n {} {}", n.0, kind_token(op.kind));
+                let _ = write!(out, "n {} {}", n.0, op.kind.token());
                 if let Some(name) = &op.name {
                     out.push(' ');
                     escape_into(name, &mut out);

@@ -40,6 +40,31 @@ pub enum RegisterModelKind {
     Rotating,
 }
 
+impl RegisterModelKind {
+    /// The token naming this model on the wire, in the artifact codec and
+    /// on the command line (`Display` spells `MVE` for reports).
+    pub(crate) fn token(self) -> &'static str {
+        match self {
+            RegisterModelKind::Mve => "mve",
+            RegisterModelKind::Rotating => "rotating",
+        }
+    }
+
+    /// The model `token` names, or `None`.
+    ///
+    /// ```
+    /// use clasp::RegisterModelKind;
+    ///
+    /// assert_eq!(RegisterModelKind::parse("rotating"), Some(RegisterModelKind::Rotating));
+    /// assert_eq!(RegisterModelKind::parse("MVE"), None);
+    /// ```
+    pub fn parse(token: &str) -> Option<Self> {
+        [RegisterModelKind::Mve, RegisterModelKind::Rotating]
+            .into_iter()
+            .find(|k| k.token() == token)
+    }
+}
+
 impl fmt::Display for RegisterModelKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

@@ -18,31 +18,36 @@
 //! texts — [`clasp_text::write_loop`] of the graph, the machine
 //! description with its display name normalized out, and the `Debug`
 //! rendering of the [`CompileRequest`] — streamed through a
-//! [`KeyBuilder`], so a warm lookup allocates nothing
+//! [`KeyBuilder`], so keying a lookup allocates nothing
 //! (`tests/alloc_free.rs`). Two requests collide exactly when nothing
 //! the pipeline can observe differs: the loop text round-trips
 //! everything the pipeline reads, no stage reads the machine name (so
 //! `4c-gp-4b-2p`'s unified equivalent and an identically shaped
 //! `unified` preset share one entry), and `CompileRequest` is `Copy +
-//! Debug` with no interior state. These entries hold the decoded
-//! artifact, shared behind an `Arc`.
+//! Debug` with no interior state.
 //!
 //! **Wire keys** hash a tag part, then the daemon request *as received*:
 //! its loop text, its machine text and the parsed `CompileRequest`. A
 //! warm wire lookup therefore parses and renders nothing, and its reply
 //! is a pure function of the request (a machine named `bar` is never
-//! answered with a cached `foo`). These entries hold only the canonical
-//! [`crate::codec`] payload a reply is rendered from, so the memory
-//! budget — which charges every entry its payload length — bounds what a
-//! daemon really holds. The tag part keeps a wire key from ever equalling
-//! an in-process key, even for a request whose texts are exactly the
-//! canonical ones.
+//! answered with a cached `foo`). The tag part keeps a wire key from
+//! ever equalling an in-process key, even for a request whose texts are
+//! exactly the canonical ones.
+//!
+//! **One entry kind.** Every entry, in either key space, is the
+//! canonical [`crate::codec`] payload, and the memory budget charges it
+//! exactly that payload's length, so the budget bounds what the service
+//! holds. A miss compiles, stores the payload, and hands the caller the
+//! artifact it just compiled. A hit renders a wire reply straight from
+//! the stored bytes; an in-process hit decodes them, recomputing the
+//! register model and the program as a disk promotion does, so its
+//! report's stage timings read zero.
 //!
 //! Results, failures included, are memoized, and hit/miss counters are
 //! deterministic under thread contention (see [`clasp_exec::cache`]).
-//! With a persistent tier, every computed result is stored through the
-//! codec and later processes are served from disk (a *promotion*, which
-//! decodes the payload once), with the outcome ticked into the
+//! With a persistent tier, every computed payload is stored through and
+//! later processes are served from disk (a *promotion*, which decodes
+//! the payload once to validate it), with the outcome ticked into the
 //! `cache.*` counters.
 //!
 //! The service also defines the *wire* request/response shape shared
@@ -68,7 +73,7 @@ use clasp_exec::{
 use clasp_machine::MachineSpec;
 use clasp_obs::{Counter, Obs, Span};
 use clasp_sched::{SchedulerConfig, SchedulerKind};
-use std::borrow::Cow;
+use std::cell::Cell;
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex};
@@ -79,7 +84,10 @@ pub const PROTOCOL: &str = "clasp-serve/1";
 /// First part of every wire key (see the module docs).
 const WIRE_KEY_TAG: &str = "clasp-serve request";
 
-/// A memoized result: the artifact or the pipeline's refusal.
+/// A compile result: the artifact or the pipeline's refusal. Every
+/// [`CompileService::compile_artifact`] call returns a fresh `Arc`, the
+/// artifact a miss just compiled or the one a hit decoded; the tier
+/// itself holds only the payload, so no two calls share an artifact.
 pub type CachedCompile = Arc<Result<CompiledArtifact, PipelineError>>;
 
 /// The service's former cache-layer name, kept while `perfbench` still
@@ -94,10 +102,8 @@ pub struct ServiceConfig {
     /// the gate rather than oversubscribing the machine.
     pub threads: usize,
     /// Byte budget for the in-memory artifact tier (`None` = unbounded).
-    /// Every entry is charged its canonical payload length. A wire entry
-    /// holds just that payload, so the budget bounds what a daemon holds;
-    /// an in-process entry holds the decoded artifact, which is larger
-    /// than the bytes charged for it.
+    /// Every entry holds its canonical payload and is charged exactly its
+    /// length, so the budget bounds what the tier holds.
     pub memory_budget: Option<usize>,
     /// Directory for the persistent artifact tier (`None` = memory only).
     pub cache_dir: Option<PathBuf>,
@@ -159,29 +165,12 @@ impl Drop for GatePermit<'_> {
     }
 }
 
-/// One artifact-tier entry: the decoded artifact for an in-process key,
-/// the canonical payload for a wire key.
-enum Entry {
-    Artifact(CachedCompile),
-    Payload(Box<str>),
-}
-
-impl Entry {
-    /// The canonical payload: stored for a wire entry, encoded for an
-    /// artifact (the tier's byte weight and disk store on a miss).
-    fn payload(&self, iterations: i64) -> Cow<'_, str> {
-        match self {
-            Entry::Payload(payload) => Cow::Borrowed(payload),
-            Entry::Artifact(result) => Cow::Owned(codec::encode(result, iterations)),
-        }
-    }
-}
-
 /// The service facade: tiered artifact cache + phase-2 II memo table +
 /// admission gate. See the module docs.
 pub struct CompileService {
-    /// In-process and wire entries alike (see the module docs).
-    full: TieredCache<Entry>,
+    /// Canonical payloads of in-process and wire keys alike (see the
+    /// module docs).
+    full: TieredCache<Box<str>>,
     /// Clustered and unified IIs alike; every key starts with its kind.
     phase2: ContentCache<Option<u32>>,
     gate: Gate,
@@ -248,10 +237,11 @@ impl CompileService {
     }
 
     /// Full-driver compile through the tiered cache: the first request
-    /// for a key runs [`compile_full`](crate::compile_full) (a miss),
-    /// every later one shares its result (a hit), and concurrent
-    /// requests for a cold key wait on the one in-flight compile. Only a
-    /// miss's compile is gated by admission.
+    /// for a key runs [`compile_full`](crate::compile_full) (a miss) and
+    /// returns its result, a promotion returns the artifact it decoded
+    /// from disk, every later request decodes the stored payload (a hit),
+    /// and concurrent requests for a cold key wait on the one in-flight
+    /// compile. Only a miss's compile is gated by admission.
     ///
     /// Records a `cache.lookup` span with the key and its
     /// `hit`/`disk`/`miss` outcome (a cold key's duration includes the
@@ -265,40 +255,47 @@ impl CompileService {
         req: &CompileRequest,
         obs: &Obs,
     ) -> CachedCompile {
-        let iterations = req.iterations;
-        let entry = self.lookup(
-            Self::key(g, machine, req),
-            obs,
-            |payload| Some(Entry::Artifact(Arc::new(codec::decode(payload).ok()?))),
-            |entry| entry.payload(iterations).into_owned(),
-            || {
-                let _permit = self.gate.acquire();
-                Entry::Artifact(Arc::new(compile_full_observed(g, machine, req, obs)))
-            },
-        );
-        match &*entry {
-            Entry::Artifact(result) => Arc::clone(result),
-            // Only a 128-bit collision with a wire key lands here; stored
-            // payloads were encoded here or validated on promotion.
-            Entry::Payload(payload) => {
-                Arc::new(codec::decode(payload).expect("a stored payload decodes"))
-            }
-        }
+        let (payload, fresh) = self.lookup(Self::key(g, machine, req), g, machine, req, obs);
+        // A stored payload was encoded by `lookup` or validated on promotion.
+        Arc::new(
+            fresh.unwrap_or_else(|| codec::decode(&payload).expect("a stored payload decodes")),
+        )
     }
 
-    /// One tier lookup inside a `cache.lookup` span.
+    /// One tier lookup inside a `cache.lookup` span: memory, then a disk
+    /// payload that decodes, then a compile under admission whose
+    /// encoded result is stored. Returns the stored payload, and the
+    /// result when this call promoted (decoded) or compiled it.
     fn lookup(
         &self,
         key: CacheKey,
+        g: &Ddg,
+        machine: &MachineSpec,
+        req: &CompileRequest,
         obs: &Obs,
-        decode: impl FnOnce(&str) -> Option<Entry>,
-        encode: impl FnOnce(&Entry) -> String,
-        compute: impl FnOnce() -> Entry,
-    ) -> Arc<Entry> {
+    ) -> (
+        Arc<Box<str>>,
+        Option<Result<CompiledArtifact, PipelineError>>,
+    ) {
         let span = obs.begin("cache.lookup");
-        let (value, grade, evicted) = self.full.get_or_compute(key, decode, encode, compute);
+        let fresh = Cell::new(None);
+        let (payload, grade, evicted) = self.full.get_or_compute(
+            key,
+            |payload| {
+                fresh.set(Some(codec::decode(payload).ok()?));
+                Some(payload.into())
+            },
+            |payload| payload.to_string(),
+            || {
+                let _permit = self.gate.acquire();
+                let result = compile_full_observed(g, machine, req, obs);
+                let payload = codec::encode(&result, req.iterations).into_boxed_str();
+                fresh.set(Some(result));
+                payload
+            },
+        );
         record(obs, span, key, grade, evicted);
-        value
+        (payload, fresh.into_inner())
     }
 
     /// Phase-1+2 II only (no emission, no artifact): the experiment
@@ -366,8 +363,8 @@ impl CompileService {
     pub fn handle(&self, sreq: &ServiceRequest) -> ServiceReply {
         let (outcome, trace) = self.serve(sreq);
         match outcome {
-            Ok(entry) => ServiceReply {
-                outcome: Ok(entry.payload(sreq.request.iterations).into_owned()),
+            Ok(payload) => ServiceReply {
+                outcome: Ok(payload.to_string()),
                 trace,
             },
             Err(message) => ServiceReply::bad_request(message),
@@ -384,22 +381,18 @@ impl CompileService {
         };
         let (outcome, trace) = self.serve(&sreq);
         match outcome {
-            Ok(entry) => render_reply(
-                Ok(&entry.payload(sreq.request.iterations)),
-                trace.as_deref(),
-            ),
+            Ok(payload) => render_reply(Ok(&payload), trace.as_deref()),
             Err(message) => ServiceReply::bad_request(message).render(),
         }
     }
 
     /// The wire path behind [`CompileService::handle`] and
-    /// [`CompileService::respond`]: the tier entry holding the reply's
-    /// payload, or a bad-request message, plus the captured trace. A
-    /// memory hit costs the wire key's hash and the lookup; only a miss
-    /// parses the texts, and then promotes the payload from disk
-    /// (decoding it once to validate it) or compiles under admission,
-    /// keeping only the canonical payload.
-    fn serve(&self, sreq: &ServiceRequest) -> (Result<Arc<Entry>, String>, Option<String>) {
+    /// [`CompileService::respond`]: the reply's stored payload, or a
+    /// bad-request message, plus the captured trace. A memory hit costs
+    /// the wire key's hash and the lookup; only a miss parses the texts,
+    /// and then promotes the payload from disk or compiles under
+    /// admission.
+    fn serve(&self, sreq: &ServiceRequest) -> (Result<Arc<Box<str>>, String>, Option<String>) {
         let obs = if sreq.capture_trace {
             Obs::enabled()
         } else {
@@ -408,10 +401,10 @@ impl CompileService {
         let key = wire_key(&sreq.loop_text, &sreq.machine_text, &sreq.request);
         let span = obs.begin("cache.lookup");
         // A memory miss counts nothing until the lookup below.
-        let entry = match self.full.get(key) {
-            Some(entry) => {
+        let payload = match self.full.get(key) {
+            Some(payload) => {
                 record(&obs, span, key, TierGrade::Memory, 0);
-                entry
+                payload
             }
             None => {
                 let g = match clasp_text::parse_loop(&sreq.loop_text) {
@@ -422,25 +415,10 @@ impl CompileService {
                     Ok(m) => m,
                     Err(e) => return (Err(format!("machine: {e}")), None),
                 };
-                let iterations = sreq.request.iterations;
-                self.lookup(
-                    key,
-                    &obs,
-                    |payload| {
-                        codec::decode(payload)
-                            .is_ok()
-                            .then(|| Entry::Payload(payload.into()))
-                    },
-                    |entry| entry.payload(iterations).into_owned(),
-                    || {
-                        let _permit = self.gate.acquire();
-                        let result = compile_full_observed(&g, &machine, &sreq.request, &obs);
-                        Entry::Payload(codec::encode(&result, iterations).into_boxed_str())
-                    },
-                )
+                self.lookup(key, &g, &machine, &sreq.request, &obs).0
             }
         };
-        (Ok(entry), sreq.capture_trace.then(|| obs.chrome_trace()))
+        (Ok(payload), sreq.capture_trace.then(|| obs.chrome_trace()))
     }
 
     /// In-memory artifact-tier counters.
@@ -592,13 +570,7 @@ impl ServiceRequest {
         s.push_str(&format!("sched {}\n", r.pipeline.sched.budget_factor));
         s.push_str(&format!("backend {}\n", r.backend));
         s.push_str(&format!("scheduler {}\n", r.pipeline.scheduler));
-        s.push_str(&format!(
-            "model {}\n",
-            match r.register_model {
-                RegisterModelKind::Mve => "mve",
-                RegisterModelKind::Rotating => "rotating",
-            }
-        ));
+        s.push_str(&format!("model {}\n", r.register_model.token()));
         s.push_str(&format!("restage {}\n", flag(r.restage)));
         s.push_str(&format!("iterations {}\n", r.iterations));
         s.push_str(&format!("verify {}\n", flag(r.verify)));
@@ -682,11 +654,9 @@ impl ServiceRequest {
                         .ok_or_else(|| bad(format!("unknown scheduler `{token}`")))?;
                 }
                 Some("model") => {
-                    request.register_model = match next("model")? {
-                        "mve" => RegisterModelKind::Mve,
-                        "rotating" => RegisterModelKind::Rotating,
-                        other => return Err(bad(format!("unknown register model `{other}`"))),
-                    };
+                    let token = next("model")?;
+                    request.register_model = RegisterModelKind::parse(token)
+                        .ok_or_else(|| bad(format!("unknown register model `{token}`")))?;
                 }
                 Some("restage") => {
                     request.restage = parse_flag(next("restage")?, "restage")?;
@@ -987,7 +957,10 @@ mod tests {
         let req = CompileRequest::default();
         let wire = ServiceRequest::new(LOOP, machine_text()).render();
         let quiet = Obs::disabled();
-        let artifact = service.compile_artifact(&g, &m, &req, &quiet);
+        let artifact = codec::encode(
+            &service.compile_artifact(&g, &m, &req, &quiet),
+            req.iterations,
+        );
         let ii = service.ii_of(&g, &m, PipelineConfig::default());
         let unified = service.unified_ii_of(&g, &m, SchedulerConfig::default());
         let reply = service.respond(&wire);
@@ -1000,7 +973,8 @@ mod tests {
             let (tx, rx) = std::sync::mpsc::channel();
             s.spawn(move || {
                 let warm = service.compile_artifact(&g, &m, &req, &quiet);
-                let _ = tx.send(("compile_artifact", Arc::ptr_eq(&warm, &artifact)));
+                let same = codec::encode(&warm, req.iterations) == artifact;
+                let _ = tx.send(("compile_artifact", same));
                 let warm = service.ii_of(&g, &m, PipelineConfig::default());
                 let _ = tx.send(("ii_of", warm == ii));
                 let warm = service.unified_ii_of(&g, &m, SchedulerConfig::default());
@@ -1055,13 +1029,18 @@ mod tests {
     }
 
     #[test]
-    fn second_compile_is_a_hit_and_shares_the_artifact() {
+    fn second_compile_is_a_hit_and_decodes_the_same_artifact() {
         let service = CompileService::in_memory();
         let g = small_loop("memo");
         let m = presets::two_cluster_gp(2, 1);
         let first = compile(&service, &g, &m);
         let second = compile(&service, &g, &m);
-        assert!(Arc::ptr_eq(&first, &second), "hit must share the entry");
+        let iterations = CompileRequest::default().iterations;
+        assert_eq!(
+            codec::encode(&first, iterations),
+            codec::encode(&second, iterations),
+            "a hit must decode to the payload the miss stored"
+        );
         let stats = service.stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
         assert_eq!(

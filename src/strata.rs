@@ -25,22 +25,44 @@ use clasp_obs::Obs;
 pub const DEFAULT_SWEEP_PRESETS: [&str; 5] =
     ["mesh3x3", "torus3x3", "pe-grid2x3", "het4c-s1998", "4c-gp"];
 
-/// Resolve a machine preset name: the CLI's classic spellings first
-/// (`2c-gp`, `grid`, `unified`, ...), then the parameterized families of
-/// [`presets::by_name`] (`mesh4x4`, `torus3x3`, `pe-grid2x3`,
-/// `het6c-s2a`, ...).
+/// A classic preset's builder from optional bus and port counts.
+type PresetBuilder = fn(Option<u32>, Option<u32>) -> MachineSpec;
+
+/// The eight classic presets in `clasp-cli machines` order, each with a
+/// builder that takes the bus and port counts, `None` keeping the
+/// preset's default (`grid` has no buses, `unified` neither).
+pub const CLASSIC_PRESETS: [(&str, PresetBuilder); 8] = [
+    ("2c-gp", |b, p| {
+        presets::two_cluster_gp(b.unwrap_or(2), p.unwrap_or(1))
+    }),
+    ("4c-gp", |b, p| {
+        presets::four_cluster_gp(b.unwrap_or(4), p.unwrap_or(2))
+    }),
+    ("6c-gp", |b, p| {
+        presets::six_cluster_gp(b.unwrap_or(6), p.unwrap_or(3))
+    }),
+    ("8c-gp", |b, p| {
+        presets::eight_cluster_gp(b.unwrap_or(7), p.unwrap_or(3))
+    }),
+    ("2c-fs", |b, p| {
+        presets::two_cluster_fs(b.unwrap_or(2), p.unwrap_or(1))
+    }),
+    ("4c-fs", |b, p| {
+        presets::four_cluster_fs(b.unwrap_or(4), p.unwrap_or(2))
+    }),
+    ("grid", |_, p| presets::four_cluster_grid(p.unwrap_or(2))),
+    ("unified", |_, _| presets::unified_gp(8)),
+];
+
+/// Resolve a machine preset name: the [`CLASSIC_PRESETS`] at their
+/// defaults first (`2c-gp`, `grid`, `unified`, ...), then the
+/// parameterized families of [`presets::by_name`] (`mesh4x4`,
+/// `torus3x3`, `pe-grid2x3`, `het6c-s2a`, ...).
 pub fn machine_by_name(name: &str) -> Option<MachineSpec> {
-    Some(match name {
-        "2c-gp" => presets::two_cluster_gp(2, 1),
-        "4c-gp" => presets::four_cluster_gp(4, 2),
-        "6c-gp" => presets::six_cluster_gp(6, 3),
-        "8c-gp" => presets::eight_cluster_gp(7, 3),
-        "2c-fs" => presets::two_cluster_fs(2, 1),
-        "4c-fs" => presets::four_cluster_fs(4, 2),
-        "grid" => presets::four_cluster_grid(2),
-        "unified" => presets::unified_gp(8),
-        other => return presets::by_name(other),
-    })
+    match CLASSIC_PRESETS.iter().find(|(classic, _)| *classic == name) {
+        Some((_, build)) => Some(build(None, None)),
+        None => presets::by_name(name),
+    }
 }
 
 /// Sweep parameters.
