@@ -106,9 +106,10 @@ pub struct CopyMark(usize);
 
 /// Tracks all live copies, value availability, and per-target use counts.
 ///
-/// All resource effects go through the [`CountMrt`] passed to each call;
-/// tentative work is undone through [`CopyManager::mark`] /
-/// [`CopyManager::rollback_to`] together with the MRT's own journal.
+/// All resource effects go through the [`CountMrt`] passed to each call.
+/// The manager owns what each copy reserved (its [`CopyRecord`]), so
+/// [`CopyManager::mark`] / [`CopyManager::rollback_to`] undo tentative
+/// work in the manager and in the MRT's counts alike.
 #[derive(Debug, Clone)]
 pub struct CopyManager {
     first_id: u32,
@@ -167,10 +168,10 @@ impl CopyManager {
         CopyMark(self.journal.len())
     }
 
-    /// Undo every mutation made since `mark`, in reverse order. MRT-side
-    /// effects are journaled by the [`CountMrt`] itself and must be rolled
-    /// back there.
-    pub fn rollback_to(&mut self, mark: CopyMark) {
+    /// Undo every mutation made since `mark`, in reverse order, giving
+    /// back (or retaking) in `mrt` the port, bus and link slots each step
+    /// took (or freed). `mrt` must be the table the steps reserved in.
+    pub fn rollback_to(&mut self, mark: CopyMark, mrt: &mut CountMrt) {
         while self.journal.len() > mark.0 {
             match self.journal.pop().expect("journal entry") {
                 CopyUndo::UseBumped(producer, c) => {
@@ -189,6 +190,7 @@ impl CopyManager {
                     let targets = &mut self.record_mut(copy).targets;
                     let popped = targets.remove(targets.len() - 1);
                     debug_assert_eq!(popped, target);
+                    mrt.remove_copy_target(target);
                     let at = self.slot(producer, target);
                     self.deliveries[at] = Delivery::EMPTY;
                 }
@@ -200,7 +202,8 @@ impl CopyManager {
                     // LIFO rollback: `copy` was the most recent allocation.
                     debug_assert_eq!(copy.0 + 1, self.next_id);
                     self.next_id = copy.0;
-                    self.copies.pop().flatten().expect("created copy is live");
+                    let record = self.copies.pop().flatten().expect("created copy is live");
+                    mrt.release_copy(record.src, record.targets.as_slice(), record.link);
                     self.rc[producer.index()] -= 1;
                     let at = self.slot(producer, target);
                     self.deliveries[at] = Delivery::EMPTY;
@@ -211,6 +214,7 @@ impl CopyManager {
                     target,
                     pos,
                 } => {
+                    mrt.add_copy_target(target).expect("a restored target fits");
                     self.record_mut(copy).targets.insert(pos, target);
                     let at = self.slot(producer, target);
                     self.deliveries[at] = Delivery {
@@ -223,6 +227,8 @@ impl CopyManager {
                     target,
                     record,
                 } => {
+                    mrt.reserve_copy(record.src, record.targets.as_slice(), record.link)
+                        .expect("a restored copy fits");
                     let at = self.slot(record.producer, target);
                     self.deliveries[at] = Delivery {
                         copy: copy.0,
@@ -288,7 +294,9 @@ impl CopyManager {
 
     /// Allocate the next copy id for a copy already reserved in the MRT,
     /// record it, and make it the delivery of `producer` at `target` with
-    /// `uses` uses.
+    /// `uses` uses. Reserving first means a copy that does not fit never
+    /// consumes an id, so a rolled back attempt allocates the same ids as
+    /// a from-scratch replay.
     fn create(
         &mut self,
         producer: NodeId,
@@ -364,7 +372,7 @@ impl CopyManager {
                     .map(|d| NodeId(d.copy));
                 match existing {
                     Some(id) => {
-                        mrt.add_copy_target(id, target)?;
+                        mrt.add_copy_target(target)?;
                         self.record_mut(id).targets.push(target);
                         let at = self.slot(producer, target);
                         self.deliveries[at] = Delivery {
@@ -379,11 +387,7 @@ impl CopyManager {
                         Ok(0)
                     }
                     None => {
-                        // Reserve under the peeked id first: a failed
-                        // reservation must not consume an id, or a rolled
-                        // back attempt would drift copy ids versus a
-                        // from-scratch replay.
-                        mrt.reserve_copy(NodeId(self.next_id), home, &[target], None)?;
+                        mrt.reserve_copy(home, &[target], None)?;
                         self.create(producer, home, target, None, 1);
                         Ok(1)
                     }
@@ -428,9 +432,7 @@ impl CopyManager {
                 u = v;
                 continue;
             }
-            // Peek the id; a failed reservation must not consume it (see
-            // the bus path above).
-            mrt.reserve_copy(NodeId(self.next_id), u, &[v], Some(link))?;
+            mrt.reserve_copy(u, &[v], Some(link))?;
             // Interior hops start with zero uses; the next hop (or the
             // final consumer, below) registers the actual use.
             self.create(producer, u, v, Some(link), 0);
@@ -479,7 +481,7 @@ impl CopyManager {
                 .position(|&t| t == target)
                 .expect("target present");
             targets.remove(pos);
-            mrt.remove_copy_target(id, target);
+            mrt.remove_copy_target(target);
             self.journal.push(CopyUndo::TargetCut {
                 producer,
                 copy: id,
@@ -492,7 +494,7 @@ impl CopyManager {
                 .expect("live copy");
             self.rc[producer.index()] -= 1;
             let src = record.src;
-            mrt.release(id);
+            mrt.release_copy(src, record.targets.as_slice(), record.link);
             self.journal.push(CopyUndo::Freed {
                 copy: id,
                 target,
@@ -509,9 +511,27 @@ impl CopyManager {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use clasp_ddg::FuClass;
     use clasp_machine::presets;
+
+    /// Every count `mrt` answers from, as free slots: per cluster the FU
+    /// slots of each class and the read and write ports, then the bus
+    /// slots and the slots of every link.
+    pub(crate) fn mrt_counts(mrt: &CountMrt) -> Vec<u32> {
+        let m = mrt.machine();
+        let mut counts = Vec::new();
+        for c in m.cluster_ids() {
+            counts.extend(FuClass::ALL.map(|class| mrt.free_class_slots(c, class)));
+            counts.push(mrt.free_read_slots(c));
+            counts.push(mrt.free_write_slots(c));
+        }
+        counts.push(mrt.free_bus_slots());
+        let links = m.interconnect().links().len() as u32;
+        counts.extend((0..links).map(|l| mrt.free_link_slots(LinkId(l))));
+        counts
+    }
 
     fn setup_bus(m: &MachineSpec) -> (CountMrt<'_>, CopyManager) {
         (CountMrt::new(m, 2), CopyManager::new(m, 100))
@@ -700,11 +720,10 @@ mod tests {
         cpm.ensure_value_at(&mut mrt, p, home, ClusterId(1))
             .unwrap();
         cpm.commit();
-        mrt.commit();
         let before = state_key(&cpm);
+        let counts = mrt_counts(&mrt);
 
         let mark = cpm.mark();
-        let mmark = mrt.mark();
         // Exercise every journal arm: bump, extend, create, drop, cut, free.
         cpm.ensure_value_at(&mut mrt, p, home, ClusterId(1))
             .unwrap(); // bump
@@ -715,11 +734,13 @@ mod tests {
         cpm.release_value_use(&mut mrt, p, home, ClusterId(1)); // drop
         cpm.release_value_use(&mut mrt, p, home, ClusterId(2)); // cut
         cpm.release_value_use(&mut mrt, NodeId(1), ClusterId(3), ClusterId(0)); // free
-        cpm.rollback_to(mark);
-        mrt.rollback_to(mmark);
+        cpm.ensure_value_at(&mut mrt, p, home, ClusterId(3))
+            .unwrap(); // extend, left live
+        assert_ne!(mrt_counts(&mrt), counts);
+        cpm.rollback_to(mark, &mut mrt);
 
         assert_eq!(state_key(&cpm), before);
-        assert_eq!(mrt.reserved_count(), 1);
+        assert_eq!(mrt_counts(&mrt), counts);
     }
 
     #[test]
@@ -729,15 +750,14 @@ mod tests {
         let mut cpm = CopyManager::new(&m, 100);
         let p = NodeId(0);
         let before = state_key(&cpm);
+        let counts = mrt_counts(&mrt);
         let mark = cpm.mark();
-        let mmark = mrt.mark();
         cpm.ensure_value_at(&mut mrt, p, ClusterId(0), ClusterId(3))
             .unwrap();
         assert_eq!(cpm.live_count(), 2);
-        cpm.rollback_to(mark);
-        mrt.rollback_to(mmark);
+        cpm.rollback_to(mark, &mut mrt);
         assert_eq!(state_key(&cpm), before);
-        assert_eq!(mrt.reserved_count(), 0);
+        assert_eq!(mrt_counts(&mrt), counts);
         // Ids fully recycled: a replay allocates the same ones.
         cpm.ensure_value_at(&mut mrt, p, ClusterId(0), ClusterId(3))
             .unwrap();
@@ -753,16 +773,15 @@ mod tests {
         cpm.ensure_value_at(&mut mrt, p, ClusterId(0), ClusterId(3))
             .unwrap();
         cpm.commit();
-        mrt.commit();
         let before = state_key(&cpm);
+        let counts = mrt_counts(&mrt);
         let mark = cpm.mark();
-        let mmark = mrt.mark();
         cpm.release_value_use(&mut mrt, p, ClusterId(0), ClusterId(3));
         assert_eq!(cpm.live_count(), 0);
-        cpm.rollback_to(mark);
-        mrt.rollback_to(mmark);
+        cpm.rollback_to(mark, &mut mrt);
         assert_eq!(state_key(&cpm), before);
         assert_eq!(cpm.live_count(), 2);
+        assert_eq!(mrt_counts(&mrt), counts);
     }
 
     #[test]

@@ -345,7 +345,12 @@ pub fn validate_assignment(
                 op: op.kind,
             });
         };
-        if meta.src != c || meta.targets.is_empty() || meta.targets.contains(&c) {
+        let repeats = |i: usize| meta.targets[..i].contains(&meta.targets[i]);
+        if meta.src != c
+            || meta.targets.is_empty()
+            || meta.targets.contains(&c)
+            || (1..meta.targets.len()).any(repeats)
+        {
             return Err(AssignmentError::IllegalCrossing {
                 src: n,
                 src_op: op.kind,
@@ -410,9 +415,9 @@ pub fn validate_assignment(
         let c = map.cluster_of(n).expect("checked above");
         let fits = if op.kind.is_copy() {
             let meta = map.copy_meta(n).expect("checked above");
-            mrt.reserve_copy(n, meta.src, &meta.targets, meta.link)
+            mrt.reserve_copy(meta.src, &meta.targets, meta.link)
         } else {
-            mrt.reserve_op(n, c, op.kind)
+            mrt.reserve_op(c, op.kind)
         };
         if fits.is_err() {
             return Err(AssignmentError::OverCapacity {
@@ -518,6 +523,50 @@ mod tests {
             validate_assignment(&g, &m, &asg),
             Err(AssignmentError::IllegalCrossing { .. })
         ));
+    }
+
+    #[test]
+    fn validator_rejects_a_copy_naming_one_target_twice() {
+        // a on C0 feeds b on C1 through copy k, whose (tampered) metadata
+        // names C1 twice: a typed error, not a panic in the capacity replay.
+        let mut g = Ddg::new("pair");
+        let a = g.add(OpKind::IntAlu);
+        let b = g.add(OpKind::IntAlu);
+        g.add_dep(a, b);
+        let mut wg = Ddg::new("pair");
+        wg.add(OpKind::IntAlu);
+        wg.add(OpKind::IntAlu);
+        let k = wg.add(OpKind::Copy);
+        wg.add_dep(a, k);
+        wg.add_dep(k, b);
+        let m = presets::two_cluster_gp(2, 1);
+        let mut map = ClusterMap::new();
+        map.assign(a, ClusterId(0));
+        map.assign(b, ClusterId(1));
+        map.assign(k, ClusterId(0));
+        map.set_copy_meta(
+            k,
+            CopyMeta {
+                src: ClusterId(0),
+                targets: vec![ClusterId(1), ClusterId(1)],
+                link: None,
+            },
+        );
+        let asg = Assignment {
+            graph: wg,
+            map,
+            ii: 2,
+            stats: AssignStats::default(),
+        };
+        assert_eq!(
+            validate_assignment(&g, &m, &asg),
+            Err(AssignmentError::IllegalCrossing {
+                src: k,
+                src_op: OpKind::Copy,
+                dst: k,
+                dst_op: OpKind::Copy,
+            })
+        );
     }
 
     #[test]

@@ -2,15 +2,16 @@
 //! manager, and per-edge use bookkeeping.
 //!
 //! The assigner brackets every tentative placement with
-//! [`AssignState::mark`] / [`AssignState::rollback_to`]: all three
-//! mutable layers (MRT, copy manager, and this state's own map/edge
-//! bookkeeping) keep undo journals, so a failed tentative is unwound
-//! action by action instead of restored from a whole-state clone.
+//! [`AssignState::mark`] / [`AssignState::rollback_to`]: the copy manager
+//! and this state keep undo journals, each owning what its reservations
+//! took from the counting MRT (copies there, op slots and the map/edge
+//! bookkeeping here), so a failed tentative is unwound action by action
+//! instead of restored from a whole-state clone.
 
 use crate::copies::{CopyManager, CopyMark};
 use clasp_ddg::{Ddg, EdgeId, NodeId};
 use clasp_machine::{ClusterId, MachineSpec};
-use clasp_mrt::{ClusterMap, CountMark, CountMrt, Full};
+use clasp_mrt::{ClusterMap, CountMrt, Full};
 
 /// Whether a dependence edge carries a register value that must be copied
 /// when its endpoints land on different clusters. Stores and branches
@@ -20,24 +21,26 @@ pub fn edge_needs_copy(g: &Ddg, eid: EdgeId) -> bool {
     e.src != e.dst && g.op(e.src).kind.produces_value()
 }
 
-/// One reversible step in the state's own mutation journal (the MRT and
-/// copy manager journal their layers themselves).
+/// One reversible step in the state's own mutation journal (the copy
+/// manager journals its copies itself).
 #[derive(Debug, Clone)]
 enum StateUndo {
+    /// `try_assign` reserved an FU slot for this node on this cluster.
+    OpReserved(NodeId, ClusterId),
     /// `try_assign` recorded a delivery use for this edge.
     EdgeUseSet(EdgeId),
     /// `unassign` cleared this edge's delivery use.
     EdgeUseCleared(EdgeId, (NodeId, ClusterId)),
     /// `try_assign` completed for this node (undo decrements `seq`).
     Assigned(NodeId),
-    /// `unassign` removed this node from `cluster` at sequence `seq`.
+    /// `unassign` removed this node (and its FU slot) from `cluster` at
+    /// sequence `seq`.
     Unassigned(NodeId, ClusterId, u64),
 }
 
-/// A snapshot of all three mutation journals; see [`AssignState::mark`].
+/// A snapshot of both mutation journals; see [`AssignState::mark`].
 #[derive(Debug, Clone, Copy)]
 pub struct StateMark {
-    mrt: CountMark,
     cpm: CopyMark,
     journal: usize,
 }
@@ -60,7 +63,8 @@ pub struct AssignState<'g> {
     seq: u64,
     /// Assignment sequence number per original node; 0 = unassigned.
     seq_of: Vec<u64>,
-    /// Undo log of edge-use and map mutations since the last commit.
+    /// Undo log of op-slot, edge-use and map mutations since the last
+    /// commit.
     journal: Vec<StateUndo>,
 }
 
@@ -96,21 +100,25 @@ impl<'g> AssignState<'g> {
         self.journal.clear();
     }
 
-    /// Snapshot all three mutation journals; [`AssignState::rollback_to`]
+    /// Snapshot both mutation journals; [`AssignState::rollback_to`]
     /// restores the state to exactly this point.
     pub fn mark(&self) -> StateMark {
         StateMark {
-            mrt: self.mrt.mark(),
             cpm: self.cpm.mark(),
             journal: self.journal.len(),
         }
     }
 
     /// Undo every mutation made since `mark`, across the MRT, the copy
-    /// manager, and the map/edge bookkeeping.
+    /// manager, and the map/edge bookkeeping. The two journals draw on
+    /// disjoint MRT counts (FU slots here, ports, buses and links in the
+    /// copy manager), so they unwind one after the other.
     pub fn rollback_to(&mut self, mark: StateMark) {
         while self.journal.len() > mark.journal {
             match self.journal.pop().expect("journal entry") {
+                StateUndo::OpReserved(n, c) => {
+                    self.mrt.release_op(c, self.g.op(n).kind);
+                }
                 StateUndo::EdgeUseSet(eid) => {
                     self.edge_uses[eid.index()] = None;
                 }
@@ -124,20 +132,21 @@ impl<'g> AssignState<'g> {
                     self.seq -= 1;
                 }
                 StateUndo::Unassigned(n, c, seq) => {
+                    self.mrt
+                        .reserve_op(c, self.g.op(n).kind)
+                        .expect("a restored op fits");
                     self.map.assign(n, c);
                     self.seq_of[n.index()] = seq;
                 }
             }
         }
-        self.mrt.rollback_to(mark.mrt);
-        self.cpm.rollback_to(mark.cpm);
+        self.cpm.rollback_to(mark.cpm, &mut self.mrt);
     }
 
-    /// Discard all three undo logs: everything done so far becomes
-    /// permanent and earlier marks become invalid.
+    /// Discard both undo logs: everything done so far becomes permanent
+    /// and earlier marks become invalid.
     pub fn commit(&mut self) {
         self.journal.clear();
-        self.mrt.commit();
         self.cpm.commit();
     }
 
@@ -196,7 +205,8 @@ impl<'g> AssignState<'g> {
         if !self.machine.cluster(c).can_execute(kind) {
             return Err(Full);
         }
-        self.mrt.reserve_op(n, c, kind)?;
+        self.mrt.reserve_op(c, kind)?;
+        self.journal.push(StateUndo::OpReserved(n, c));
         let mut created = 0u32;
         // `g` is a shared borrow independent of `self`, so the edge
         // iterators run directly against the graph while the state
@@ -263,8 +273,8 @@ impl<'g> AssignState<'g> {
                     .release_value_use(&mut self.mrt, producer, home, target);
             }
         }
-        self.mrt.release(n);
         let c = self.map.cluster_of(n).expect("assigned");
+        self.mrt.release_op(c, g.op(n).kind);
         self.map.unassign(n);
         let seq = std::mem::replace(&mut self.seq_of[n.index()], 0);
         self.journal.push(StateUndo::Unassigned(n, c, seq));
@@ -376,6 +386,7 @@ impl<'g> AssignState<'g> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::copies::tests::mrt_counts;
     use clasp_ddg::OpKind;
     use clasp_machine::presets;
 
@@ -558,18 +569,19 @@ mod tests {
         let mut st = AssignState::new(&g, &m, 2);
         st.try_assign(NodeId(0), ClusterId(0)).unwrap();
         st.commit();
-        let free_bus = st.mrt.free_bus_slots();
+        let counts = mrt_counts(&st.mrt);
 
         let mark = st.mark();
         st.try_assign(NodeId(1), ClusterId(1)).unwrap();
         assert_eq!(st.cpm.live_count(), 1);
         st.unassign(NodeId(0));
+        assert_ne!(mrt_counts(&st.mrt), counts);
         st.rollback_to(mark);
 
         assert_eq!(st.cluster_of(NodeId(0)), Some(ClusterId(0)));
         assert_eq!(st.cluster_of(NodeId(1)), None);
         assert_eq!(st.cpm.live_count(), 0);
-        assert_eq!(st.mrt.free_bus_slots(), free_bus);
+        assert_eq!(mrt_counts(&st.mrt), counts);
         // Sequence counter rewound: a replay yields identical seq numbers.
         st.try_assign(NodeId(1), ClusterId(1)).unwrap();
         assert_eq!(st.assign_seq(NodeId(1)), Some(2));
@@ -590,11 +602,14 @@ mod tests {
         st.try_assign(a, ClusterId(0)).unwrap();
         st.try_assign(b, ClusterId(0)).unwrap();
         st.commit();
+        let counts = mrt_counts(&st.mrt);
         let mark = st.mark();
         assert_eq!(st.try_assign(c, ClusterId(1)), Err(Full));
+        assert_ne!(mrt_counts(&st.mrt), counts);
         st.rollback_to(mark);
         assert_eq!(st.cpm.live_count(), 0);
         assert_eq!(st.mrt.free_bus_slots(), 1);
+        assert_eq!(mrt_counts(&st.mrt), counts);
         assert!(!st.map.is_assigned(c));
         // The same cluster as the producers still works.
         assert_eq!(st.try_assign(c, ClusterId(0)).unwrap(), 0);

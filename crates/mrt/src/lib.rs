@@ -6,8 +6,9 @@
 //!
 //! - [`CountMrt`]: capacity counting for the *assignment* phase, where
 //!   operations have clusters but no cycles yet; supports the paper's
-//!   MRC (maximum reservable copies) query and node-keyed release for the
-//!   iterative assigner;
+//!   MRC (maximum reservable copies) query. It holds counts only: the
+//!   iterative assigner releases a reservation by naming what it took
+//!   (an op's cluster and kind, a copy's source, targets and link);
 //! - [`TimeMrt`]: a `cycle mod II` x resource-instance grid for the
 //!   *scheduling* phase, with conflict reporting and force-place eviction
 //!   for the iterative modulo scheduler.
@@ -22,6 +23,6 @@ mod count;
 mod map;
 mod table;
 
-pub use count::{CountMark, CountMrt, Full};
+pub use count::{CountMrt, Full};
 pub use map::{ClusterMap, CopyMeta, CopyTargets};
 pub use table::{Conflict, PlaceOutcome, SlotRequest, TimeMrt};

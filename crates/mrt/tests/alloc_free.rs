@@ -1,7 +1,8 @@
 //! Verifies the incremental-escalation allocation claims at the MRT
 //! layer: once warmed, both tables run their whole escalation-facing
-//! surface — `reset`, placement probes, eviction, removal, journaled
-//! reserve/release with mark/rollback — without touching the allocator.
+//! surface — `reset`, placement probes, eviction, removal, counted
+//! reserve/release of ops and broadcast copies — without touching the
+//! allocator.
 //!
 //! A counting global allocator wraps the system one; this file contains a
 //! single test so no concurrent test can perturb the counter.
@@ -94,17 +95,19 @@ fn warmed_mrt_reset_and_probe_paths_do_not_allocate() {
             cnt.reset(ii);
             // 4 clusters x 4 GP units x ii rows; n % 4 deals evenly.
             for n in 0..(16 * ii).min(NODES) {
-                cnt.reserve_op(NodeId(n), ClusterId(n % 4), OpKind::IntAlu)
+                cnt.reserve_op(ClusterId(n % 4), OpKind::IntAlu)
                     .expect("within capacity");
             }
-            // A tentative that is probed and rolled back, then a release
-            // that is committed — the assigner's two journal shapes.
-            let mark = cnt.mark();
-            cnt.release(NodeId(0));
-            cnt.release(NodeId(1));
-            cnt.rollback_to(mark);
-            cnt.release(NodeId(2));
-            cnt.commit();
+            // What a rolled back tentative does: release an op slot and
+            // retake it, and grow, shrink and free a broadcast copy.
+            let (c0, c1, c2) = (ClusterId(0), ClusterId(1), ClusterId(2));
+            cnt.release_op(c0, OpKind::IntAlu);
+            cnt.reserve_op(c0, OpKind::IntAlu)
+                .expect("a freed slot fits");
+            cnt.reserve_copy(c0, &[c1], None).expect("a port is free");
+            cnt.add_copy_target(c2).expect("a port is free");
+            cnt.remove_copy_target(c1);
+            cnt.release_copy(c0, &[c2], None);
         }
     };
     sweep(&mut cnt);

@@ -71,13 +71,19 @@ fn parse_unit(line: usize, token: &str, spec: &mut ClusterSpec) -> Result<(), Ma
     let n: u32 = num
         .parse()
         .map_err(|_| err(line, format!("bad unit count in `{token}`")))?;
-    match suffix {
-        "gp" => spec.general += n,
-        "m" | "mem" => spec.memory += n,
-        "i" | "int" => spec.integer += n,
-        "f" | "fp" => spec.float += n,
+    // A cluster's total stays within `u32`, so no one count can overflow.
+    let width = spec.issue_width().checked_add(n);
+    let count = match suffix {
+        "gp" => &mut spec.general,
+        "m" | "mem" => &mut spec.memory,
+        "i" | "int" => &mut spec.integer,
+        "f" | "fp" => &mut spec.float,
         _ => return Err(err(line, format!("unknown unit type `{suffix}`"))),
+    };
+    if width.is_none() {
+        return Err(err(line, format!("unit count overflows at `{token}`")));
     }
+    *count += n;
     Ok(())
 }
 
@@ -387,6 +393,11 @@ mod tests {
             .contains("distinct"));
         let e = parse_machine("cluster 4gp\nbus x\n").unwrap_err();
         assert_eq!(e.line, 2);
+        for units in ["4294967295gp 2gp", "4294967295gp 1m"] {
+            let e = parse_machine(&format!("cluster 4gp\ncluster {units}\n")).unwrap_err();
+            assert_eq!(e.line, 2, "{units}");
+            assert!(e.message.contains("overflows"), "{units}: {}", e.message);
+        }
     }
 
     #[test]

@@ -427,7 +427,8 @@ fn fuzz(args: &[String]) -> Result<bool, String> {
             "--iterations" => {
                 config.iterations = take(&mut i)
                     .and_then(|v| v.parse().ok())
-                    .ok_or("--iterations needs a number")?;
+                    .filter(|&n: &i64| n >= 0)
+                    .ok_or("--iterations needs a non-negative number")?;
             }
             "--fault" => {
                 config.fault = take(&mut i)
@@ -1098,8 +1099,9 @@ fn main() -> ExitCode {
                 .ok_or("--model is `mve` or `rotating`".into()),
             "--iterations" => take(&mut i)
                 .and_then(|v| v.parse().ok())
+                .filter(|&n: &i64| n >= 0)
                 .map(|v| opts.iterations = v)
-                .ok_or("--iterations needs a number".into()),
+                .ok_or("--iterations needs a non-negative number".into()),
             "--dot" => {
                 opts.dot = true;
                 Ok(())

@@ -664,7 +664,9 @@ impl ServiceRequest {
                 Some("iterations") => {
                     request.iterations = next("iterations")?
                         .parse()
-                        .map_err(|_| bad("iterations: bad count"))?;
+                        .ok()
+                        .filter(|&n: &i64| n >= 0)
+                        .ok_or_else(|| bad("iterations: bad count"))?;
                 }
                 Some("verify") => {
                     request.verify = parse_flag(next("verify")?, "verify")?;
@@ -899,6 +901,10 @@ mod tests {
     #[test]
     fn malformed_inputs_become_bad_request_not_panic() {
         let service = CompileService::in_memory();
+        let negative_iterations = ServiceRequest::new(LOOP, machine_text())
+            .render()
+            .replace("\niterations 16\n", "\niterations -1\n");
+        assert!(negative_iterations.contains("\niterations -1\n"));
         for wire in [
             "",
             "nonsense",
@@ -906,6 +912,7 @@ mod tests {
             "clasp-serve/1 compile\nassign yes\n-- machine\n-- loop\n",
             "clasp-serve/1 compile\n-- machine\nbroken !!\n-- loop\nloop x\n",
             "clasp-serve/1 compile\n-- machine\ncluster 2gp\n-- loop\nnot a loop\n",
+            &negative_iterations,
         ] {
             let reply = ServiceReply::parse(&service.respond(wire)).unwrap();
             assert!(reply.outcome.is_err(), "{wire:?} must be rejected");

@@ -133,6 +133,22 @@ fn bad_input_fails_cleanly() {
 }
 
 #[test]
+fn negative_iteration_count_is_a_usage_error() {
+    let fir4 = loops_dir().join("fir4.clasp");
+    let fir4 = fir4.to_str().unwrap();
+    for args in [
+        &["compile", fir4, "--iterations", "-1"][..],
+        &["simulate", fir4, "--iterations", "-1"],
+        &["fuzz", "--cases", "1", "--iterations", "-1"],
+    ] {
+        let out = cli().args(args).output().expect("binary runs");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("--iterations"), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
 fn exact_size_refusal_names_no_ii() {
     // A 22-node ALU chain is over the exact backend's 20-node cap, which
     // refuses it before attempting any II.

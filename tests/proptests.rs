@@ -202,19 +202,18 @@ fn count_mrt_release_restores_capacity() {
         let mut mrt = CountMrt::new(&m, ii);
         let baseline: Vec<u32> = m.cluster_ids().map(|c| mrt.free_fu_slots(c)).collect();
         let mut held = Vec::new();
-        for i in 0..n_ops {
-            let cl = rng.below(2) as u32;
+        for _ in 0..n_ops {
+            let cl = ClusterId(rng.below(2) as u32);
             let kind = KINDS[rng.below(KINDS.len())];
             if kind.fu_class().is_none() {
                 continue;
             }
-            let node = NodeId(i as u32);
-            if mrt.reserve_op(node, ClusterId(cl), kind).is_ok() {
-                held.push(node);
+            if mrt.reserve_op(cl, kind).is_ok() {
+                held.push((cl, kind));
             }
         }
-        for n in held {
-            mrt.release(n);
+        for (cl, kind) in held {
+            mrt.release_op(cl, kind);
         }
         let after: Vec<u32> = m.cluster_ids().map(|c| mrt.free_fu_slots(c)).collect();
         assert_eq!(baseline, after);
@@ -230,21 +229,18 @@ fn copy_reservations_roundtrip() {
         let mut mrt = CountMrt::new(&m, ii);
         let bus0 = mrt.free_bus_slots();
         let mut held = Vec::new();
-        for i in 0..n_pairs {
+        for _ in 0..n_pairs {
             let (s, t) = (rng.below(4) as u32, rng.below(4) as u32);
             if s == t {
                 continue;
             }
-            let node = NodeId(1000 + i as u32);
-            if mrt
-                .reserve_copy(node, ClusterId(s), &[ClusterId(t)], None)
-                .is_ok()
-            {
-                held.push(node);
+            let (s, t) = (ClusterId(s), ClusterId(t));
+            if mrt.reserve_copy(s, &[t], None).is_ok() {
+                held.push((s, t));
             }
         }
-        for n in held {
-            mrt.release(n);
+        for (s, t) in held {
+            mrt.release_copy(s, &[t], None);
         }
         assert_eq!(mrt.free_bus_slots(), bus0);
         for c in m.cluster_ids() {
