@@ -522,7 +522,7 @@ mod tests {
             ii: 5,
             stats: clasp_core::AssignStats::default(),
         };
-        let s = Schedule::new(5, ids.into_iter().zip([0, 4, 8, 12, 16]).collect());
+        let s = Schedule::new(5, ids.into_iter().zip([0, 4, 8, 12, 16]));
         assert!(validate_schedule(&a.graph, &m, &a.map, &s).is_ok());
         assert_eq!(
             lift_witness(&g, &m, &a, &s, ExactConfig::default()),
@@ -551,9 +551,7 @@ mod tests {
         assert_eq!(lift_witness(&g, &m, &a, &s, ExactConfig::default()), Ok(()));
         let early = Schedule::new(
             s.ii(),
-            [(ld, s.start(ld).unwrap()), (add, s.start(ld).unwrap() + 1)]
-                .into_iter()
-                .collect(),
+            [(ld, s.start(ld).unwrap()), (add, s.start(ld).unwrap() + 1)],
         );
         assert!(matches!(
             lift_witness(&g, &m, &a, &early, ExactConfig::default()),
@@ -605,7 +603,7 @@ mod tests {
             ii: 1,
             stats: clasp_core::AssignStats::default(),
         };
-        let s = Schedule::new(1, [(p, 0), (k1, 1), (k2, 2), (c, 3)].into_iter().collect());
+        let s = Schedule::new(1, [(p, 0), (k1, 1), (k2, 2), (c, 3)]);
         assert_eq!(
             lift_witness(&g, &m, &a, &s, ExactConfig::default()),
             Err(LiftError::CopyChain)

@@ -8,7 +8,6 @@ use clasp_ddg::{Ddg, NodeId};
 use clasp_machine::ClusterId;
 use clasp_mrt::ClusterMap;
 use clasp_sched::Schedule;
-use std::collections::HashMap;
 use std::fmt;
 
 /// A register in one cluster's register file: the `index`-th
@@ -89,60 +88,84 @@ impl Program {
     }
 }
 
-/// Resolve the source registers of `node` at logical iteration `i`.
-fn resolve_reads(
-    g: &Ddg,
-    map: &ClusterMap,
-    model: &RegisterModel,
-    node: NodeId,
-    i: i64,
-) -> Vec<Reg> {
-    let my_cluster = map.cluster_of(node).expect("node assigned");
-    let mut reads = Vec::new();
-    for (_, e) in g.pred_edges(node) {
-        if e.src == e.dst {
-            continue; // self edges carry no register operand here
-        }
-        if !g.op(e.src).kind.produces_value() {
-            continue; // precedence-only edge
-        }
-        reads.push(Reg {
-            cluster: my_cluster,
-            def: e.src,
-            index: model.reg_index(e.src, i - i64::from(e.distance)),
-        });
-    }
-    reads
+/// The register files of every node, resolved once per emission. Node
+/// `n` reads the values `reads[read_at[n]..read_at[n + 1]]` (producer and
+/// dependence distance, one per value-carrying incoming edge in edge
+/// order) from its own cluster's file, and writes its value into the
+/// files `writes[write_at[n]..write_at[n + 1]]` (its own cluster, or each
+/// copy target; none for stores and branches).
+struct Files {
+    cluster: Vec<ClusterId>,
+    read_at: Vec<usize>,
+    reads: Vec<(NodeId, i64)>,
+    write_at: Vec<usize>,
+    writes: Vec<ClusterId>,
 }
 
-/// Resolve the destination registers of `node` at logical iteration `i`:
-/// its own cluster's file, plus each copy target's file.
-fn resolve_writes(
-    g: &Ddg,
-    map: &ClusterMap,
-    model: &RegisterModel,
-    node: NodeId,
-    i: i64,
-) -> Vec<Reg> {
-    if !g.op(node).kind.produces_value() {
-        return Vec::new();
+impl Files {
+    fn resolve(g: &Ddg, map: &ClusterMap) -> Files {
+        let n = g.node_count();
+        let mut files = Files {
+            cluster: Vec::with_capacity(n),
+            read_at: Vec::with_capacity(n + 1),
+            reads: Vec::with_capacity(g.edge_count()),
+            write_at: Vec::with_capacity(n + 1),
+            writes: Vec::with_capacity(n),
+        };
+        files.read_at.push(0);
+        files.write_at.push(0);
+        for node in g.node_ids() {
+            let cluster = map.cluster_of(node).expect("node assigned");
+            for (_, e) in g.pred_edges(node) {
+                // Self edges carry no register operand here, and
+                // precedence-only edges carry no value.
+                if e.src != e.dst && g.op(e.src).kind.produces_value() {
+                    files.reads.push((e.src, i64::from(e.distance)));
+                }
+            }
+            if g.op(node).kind.produces_value() {
+                match map.copy_meta(node) {
+                    Some(meta) => files.writes.extend_from_slice(&meta.targets),
+                    None => files.writes.push(cluster),
+                }
+            }
+            files.cluster.push(cluster);
+            files.read_at.push(files.reads.len());
+            files.write_at.push(files.writes.len());
+        }
+        files
     }
-    let index = model.reg_index(node, i);
-    match map.copy_meta(node) {
-        Some(meta) => meta
-            .targets
+
+    /// The source registers of `node` at logical iteration `i`.
+    fn reads(&self, model: &RegisterModel, node: NodeId, i: i64) -> Vec<Reg> {
+        let n = node.index();
+        let cluster = self.cluster[n];
+        self.reads[self.read_at[n]..self.read_at[n + 1]]
             .iter()
-            .map(|&t| Reg {
-                cluster: t,
+            .map(|&(def, distance)| Reg {
+                cluster,
+                def,
+                index: model.reg_index(def, i - distance),
+            })
+            .collect()
+    }
+
+    /// The destination registers of `node` at logical iteration `i`.
+    fn writes(&self, model: &RegisterModel, node: NodeId, i: i64) -> Vec<Reg> {
+        let n = node.index();
+        let files = &self.writes[self.write_at[n]..self.write_at[n + 1]];
+        if files.is_empty() {
+            return Vec::new();
+        }
+        let index = model.reg_index(node, i);
+        files
+            .iter()
+            .map(|&cluster| Reg {
+                cluster,
                 def: node,
                 index,
             })
-            .collect(),
-        None => vec![Reg {
-            cluster: map.cluster_of(node).expect("assigned"),
-            def: node,
-            index,
-        }],
+            .collect()
     }
 }
 
@@ -175,43 +198,49 @@ pub fn emit_program_with(
 ) -> Program {
     assert!(n_iterations >= 0);
     let ii = i64::from(sched.ii());
+    let start: Vec<i64> = g
+        .node_ids()
+        .map(|n| sched.start(n).expect("scheduled"))
+        .collect();
+    let files = Files::resolve(g, map);
     // Normalize so the earliest issue of iteration 0 is cycle 0.
-    let t_min = g
-        .node_ids()
-        .filter_map(|n| sched.start(n))
-        .min()
-        .unwrap_or(0);
-    let t_max = g
-        .node_ids()
-        .filter_map(|n| sched.start(n))
-        .max()
-        .unwrap_or(0);
+    let t_min = start.iter().copied().min().unwrap_or(0);
+    let t_max = start.iter().copied().max().unwrap_or(0);
     let stages = if g.node_count() == 0 {
         0
     } else {
         (t_max - t_min).div_euclid(ii) + 1
     };
 
-    let mut by_cycle: HashMap<i64, Vec<SlotOp>> = HashMap::new();
+    // Every instance, in issue order: by cycle, then node, then
+    // iteration. Cycles come from the schedule, which a decoded artifact
+    // does not vouch for, so nothing here is sized by the cycle span.
+    let instances = usize::try_from(n_iterations)
+        .unwrap_or(0)
+        .saturating_mul(g.node_count());
+    let mut order: Vec<(i64, NodeId, i64)> = Vec::with_capacity(instances);
     for i in 0..n_iterations {
         for n in g.node_ids() {
-            let t = sched.start(n).expect("scheduled") - t_min + i * ii;
-            by_cycle.entry(t).or_default().push(SlotOp {
-                node: n,
-                iteration: i,
-                reads: resolve_reads(g, map, model, n, i),
-                writes: resolve_writes(g, map, model, n, i),
-            });
+            order.push((start[n.index()] - t_min + i * ii, n, i));
         }
     }
-    let mut bundles: Vec<Bundle> = by_cycle
-        .into_iter()
-        .map(|(cycle, mut ops)| {
-            ops.sort_by_key(|o| (o.node, o.iteration));
-            Bundle { cycle, ops }
+    // An instance's cycle and node name it (its iteration follows).
+    order.sort_unstable_by_key(|&(cycle, node, _)| (cycle, node));
+    let bundles = order
+        .chunk_by(|a, b| a.0 == b.0)
+        .map(|same_cycle| Bundle {
+            cycle: same_cycle[0].0,
+            ops: same_cycle
+                .iter()
+                .map(|&(_, node, i)| SlotOp {
+                    node,
+                    iteration: i,
+                    reads: files.reads(model, node, i),
+                    writes: files.writes(model, node, i),
+                })
+                .collect(),
         })
         .collect();
-    bundles.sort_by_key(|b| b.cycle);
 
     // Preheader: live-in instances from iterations a carried consumer can
     // reach back to.
@@ -223,7 +252,7 @@ pub fn emit_program_with(
     let mut preheader = Vec::new();
     for j in -max_dist..0 {
         for n in g.node_ids() {
-            for reg in resolve_writes(g, map, model, n, j) {
+            for reg in files.writes(model, n, j) {
                 preheader.push((reg, n, j));
             }
         }

@@ -14,13 +14,13 @@
 use crate::lifetime::lifetimes;
 use clasp_ddg::{Ddg, NodeId};
 use clasp_sched::Schedule;
-use std::collections::HashMap;
 
 /// The register-expansion plan of one scheduled loop.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MveInfo {
     unroll: u32,
-    instances: HashMap<NodeId, u32>,
+    /// Live instances per node id; 0 for a node that produces no value.
+    instances: Vec<u32>,
 }
 
 impl MveInfo {
@@ -34,7 +34,7 @@ impl MveInfo {
     /// a preheader to initialize them (a short schedule lifetime does not
     /// remove that requirement).
     pub fn compute(g: &Ddg, sched: &Schedule) -> MveInfo {
-        let mut instances = HashMap::new();
+        let mut instances = vec![0; g.node_count()];
         let mut unroll = 1u32;
         for lt in lifetimes(g, sched) {
             let max_dist = g
@@ -44,7 +44,7 @@ impl MveInfo {
                 .max()
                 .unwrap_or(0);
             let k = lt.instances(sched.ii()).max(max_dist + 1);
-            instances.insert(lt.def, k);
+            instances[lt.def.index()] = k;
             unroll = unroll.max(k);
         }
         MveInfo { unroll, instances }
@@ -58,7 +58,10 @@ impl MveInfo {
     /// Simultaneously live instances of `def`'s value (1 for values that
     /// fit in a single II, and for non-producing nodes).
     pub fn instances(&self, def: NodeId) -> u32 {
-        self.instances.get(&def).copied().unwrap_or(1)
+        match self.instances.get(def.index()) {
+            Some(&k) if k > 0 => k,
+            _ => 1,
+        }
     }
 
     /// Registers allocated to `def`: 1 when it fits in an II, else `U`.
@@ -82,13 +85,20 @@ impl MveInfo {
     /// Total registers allocated across all values (per cluster file the
     /// value is written into).
     pub fn total_regs(&self) -> u32 {
-        self.instances.keys().map(|&d| self.regs_for(d)).sum()
+        self.instances
+            .iter()
+            .map(|&k| match k {
+                0 => 0,
+                1 => 1,
+                _ => self.unroll,
+            })
+            .sum()
     }
 
     /// The theoretical minimum (`sum of ceil(lifetime/II)`), for
     /// comparison with [`MveInfo::total_regs`]'s simple allocation.
     pub fn minimal_regs(&self) -> u32 {
-        self.instances.values().sum()
+        self.instances.iter().sum()
     }
 }
 

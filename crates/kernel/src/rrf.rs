@@ -16,12 +16,13 @@
 use crate::mve::MveInfo;
 use clasp_ddg::{Ddg, NodeId};
 use clasp_sched::Schedule;
-use std::collections::HashMap;
 
 /// A rotating-register-file allocation for one scheduled loop.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RrfInfo {
-    offsets: HashMap<NodeId, i64>,
+    /// Window offset per node id; `None` for a node that produces no
+    /// value.
+    offsets: Vec<Option<i64>>,
     size: i64,
 }
 
@@ -33,19 +34,18 @@ impl RrfInfo {
     /// models are verified by the same simulator.
     pub fn compute(g: &Ddg, sched: &Schedule) -> RrfInfo {
         let mve = MveInfo::compute(g, sched);
-        let mut offsets = HashMap::new();
-        let mut next = 0i64;
         // Deterministic allocation order: node id.
-        let mut producers: Vec<NodeId> = g
+        let mut next = 0i64;
+        let offsets = g
             .nodes()
-            .filter(|(_, op)| op.kind.produces_value())
-            .map(|(n, _)| n)
+            .map(|(n, op)| {
+                op.kind.produces_value().then(|| {
+                    let off = next;
+                    next += i64::from(mve.instances(n));
+                    off
+                })
+            })
             .collect();
-        producers.sort();
-        for v in producers {
-            offsets.insert(v, next);
-            next += i64::from(mve.instances(v));
-        }
         RrfInfo {
             offsets,
             size: next.max(1),
@@ -64,7 +64,12 @@ impl RrfInfo {
     ///
     /// Panics if `def` produces no value.
     pub fn reg_index(&self, def: NodeId, i: i64) -> u32 {
-        let off = *self.offsets.get(&def).expect("value-producing node");
+        let off = self
+            .offsets
+            .get(def.index())
+            .copied()
+            .flatten()
+            .expect("value-producing node");
         (off - i).rem_euclid(self.size) as u32
     }
 }

@@ -15,7 +15,6 @@
 use crate::lifetime::lifetimes;
 use clasp_ddg::{Ddg, NodeId};
 use clasp_sched::Schedule;
-use std::collections::HashMap;
 
 /// Result of [`stage_schedule`].
 #[derive(Debug, Clone)]
@@ -35,28 +34,28 @@ fn total_lifetime(g: &Ddg, sched: &Schedule) -> i64 {
 }
 
 /// Lifetime length of `v` under `times` (0 for non-producers).
-fn lifetime_of(g: &Ddg, times: &HashMap<NodeId, i64>, ii: i64, v: NodeId) -> i64 {
+fn lifetime_of(g: &Ddg, times: &[i64], ii: i64, v: NodeId) -> i64 {
     let kind = g.op(v).kind;
     if !kind.produces_value() {
         return 0;
     }
-    let start = times[&v];
+    let start = times[v.index()];
     let mut end = start + i64::from(kind.latency());
     for (_, e) in g.succ_edges(v) {
         if e.src == e.dst {
             continue;
         }
-        end = end.max(times[&e.dst] + i64::from(e.distance) * ii);
+        end = end.max(times[e.dst.index()] + i64::from(e.distance) * ii);
     }
     end - start
 }
 
 /// The part of the total lifetime affected by moving `n`: its own
 /// lifetime plus the lifetimes of its distinct value-producing
-/// predecessors (whose ends may be anchored by `n`).
-fn local_cost(g: &Ddg, times: &HashMap<NodeId, i64>, ii: i64, n: NodeId) -> i64 {
+/// predecessors (whose ends may be anchored by `n`). `seen` is scratch.
+fn local_cost(g: &Ddg, times: &[i64], ii: i64, n: NodeId, seen: &mut Vec<NodeId>) -> i64 {
     let mut cost = lifetime_of(g, times, ii, n);
-    let mut seen: Vec<NodeId> = Vec::new();
+    seen.clear();
     for (_, e) in g.pred_edges(n) {
         if e.src != n && !seen.contains(&e.src) {
             seen.push(e.src);
@@ -68,21 +67,21 @@ fn local_cost(g: &Ddg, times: &HashMap<NodeId, i64>, ii: i64, n: NodeId) -> i64 
 
 /// The window of legal issue cycles for `n` (stepping by II keeps the
 /// row), given every other node's time: `[lo, hi]` in absolute cycles.
-fn slack_window(g: &Ddg, times: &HashMap<NodeId, i64>, ii: i64, n: NodeId) -> (i64, i64) {
+fn slack_window(g: &Ddg, times: &[i64], ii: i64, n: NodeId) -> (i64, i64) {
     let mut lo = i64::MIN / 4;
     let mut hi = i64::MAX / 4;
     for (_, e) in g.pred_edges(n) {
         if e.src == n {
             continue;
         }
-        let tp = times[&e.src];
+        let tp = times[e.src.index()];
         lo = lo.max(tp + i64::from(e.latency) - i64::from(e.distance) * ii);
     }
     for (_, e) in g.succ_edges(n) {
         if e.dst == n {
             continue;
         }
-        let ts = times[&e.dst];
+        let ts = times[e.dst.index()];
         hi = hi.min(ts - i64::from(e.latency) + i64::from(e.distance) * ii);
     }
     (lo, hi)
@@ -98,19 +97,20 @@ fn slack_window(g: &Ddg, times: &HashMap<NodeId, i64>, ii: i64, n: NodeId) -> (i
 /// Panics if some node of `g` has no cycle in `sched`.
 pub fn stage_schedule(g: &Ddg, sched: &Schedule) -> StageResult {
     let ii = i64::from(sched.ii());
-    let mut times: HashMap<NodeId, i64> = g
+    let mut times: Vec<i64> = g
         .node_ids()
-        .map(|n| (n, sched.start(n).expect("scheduled")))
+        .map(|n| sched.start(n).expect("scheduled"))
         .collect();
     let before = total_lifetime(g, sched);
     let mut current = before;
     let mut moves = 0usize;
+    let mut seen = Vec::new();
 
     let max_passes = 4 * g.node_count().max(1);
     'outer: for _ in 0..max_passes {
         let mut improved = false;
         for n in g.node_ids() {
-            let t0 = times[&n];
+            let t0 = times[n.index()];
             let (lo, hi) = slack_window(g, &times, ii, n);
             // Sources/sinks have one-sided (unbounded) slack; restaging
             // them beyond a few stages of their current position can only
@@ -122,20 +122,20 @@ pub fn stage_schedule(g: &Ddg, sched: &Schedule) -> StageResult {
             }
             // Candidate cycles congruent to t0 modulo II inside [lo, hi].
             let first = lo + (t0 - lo).rem_euclid(ii);
-            let base_local = local_cost(g, &times, ii, n);
+            let base_local = local_cost(g, &times, ii, n, &mut seen);
             let mut best = (base_local, t0);
             let mut t = first;
             while t <= hi {
                 if t != t0 {
-                    times.insert(n, t);
-                    let cost = local_cost(g, &times, ii, n);
+                    times[n.index()] = t;
+                    let cost = local_cost(g, &times, ii, n, &mut seen);
                     if cost < best.0 {
                         best = (cost, t);
                     }
                 }
                 t += ii;
             }
-            times.insert(n, best.1);
+            times[n.index()] = best.1;
             if best.1 != t0 {
                 current += best.0 - base_local;
                 moves += 1;
@@ -148,7 +148,7 @@ pub fn stage_schedule(g: &Ddg, sched: &Schedule) -> StageResult {
     }
 
     StageResult {
-        schedule: Schedule::new(sched.ii(), times),
+        schedule: Schedule::new(sched.ii(), g.node_ids().zip(times)),
         lifetime_before: before,
         lifetime_after: current,
         moves,

@@ -389,6 +389,7 @@ mod tests {
 
     #[test]
     fn mixed_uses_the_hard_corpus_when_present() {
+        let _fds = crate::resources::fd_window();
         let dir = std::env::temp_dir().join(format!("clasp-load-hard-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();

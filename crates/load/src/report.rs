@@ -202,6 +202,7 @@ mod tests {
 
     #[test]
     fn rendered_json_round_trips_through_the_committed_reader() {
+        let _fds = crate::resources::fd_window();
         let text = suite().render_json();
         let p99 = committed_cell_field(&text, "tcp/c4/mixed", "p99_ns").unwrap();
         // Bucketed upper bound of the exact 900_000 max, clamped to it.
@@ -220,6 +221,7 @@ mod tests {
 
     #[test]
     fn rendered_json_is_structurally_sane() {
+        let _fds = crate::resources::fd_window();
         let text = suite().render_json();
         assert!(text.starts_with("{\n"));
         assert!(text.ends_with("}\n"));
@@ -234,6 +236,7 @@ mod tests {
 
     #[test]
     fn human_line_mentions_the_cell_and_units() {
+        let _fds = crate::resources::fd_window();
         let line = suite().cells[1].human_line();
         assert!(line.contains("tcp/c4/mixed"));
         assert!(line.contains("errors 0"));

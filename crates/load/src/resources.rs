@@ -91,12 +91,25 @@ fn max_opt(a: Option<u64>, b: Option<u64>) -> Option<u64> {
     }
 }
 
+/// Held by every test of this crate that opens file descriptors (this
+/// module's, the report tests' [`Watermark`]s and the hard-corpus read),
+/// so a test counting the whole process's descriptors counts only its
+/// own while the others run on parallel threads.
+#[cfg(test)]
+pub(crate) fn fd_window() -> std::sync::MutexGuard<'static, ()> {
+    static WINDOW: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    WINDOW
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn watermarks_track_fd_growth() {
+        let _fds = fd_window();
         let mut w = Watermark::start();
         if w.before.fds.is_none() {
             return; // no procfs on this platform
@@ -115,6 +128,7 @@ mod tests {
 
     #[test]
     fn rss_is_reported_on_linux() {
+        let _fds = fd_window();
         let s = sample();
         if let Some(rss) = s.rss_kb {
             assert!(rss > 0);

@@ -458,7 +458,7 @@ fn a_schedule_past_the_exact_horizon_takes_the_comparison_fallback() {
             ii: 5,
             stats: clasp_core::AssignStats::default(),
         },
-        schedule: Schedule::new(5, ids.into_iter().zip([0, 4, 8, 12, 16]).collect()),
+        schedule: Schedule::new(5, ids.into_iter().zip([0, 4, 8, 12, 16])),
     };
     assert!(matches!(
         lift_witness(

@@ -29,7 +29,6 @@ use crate::swing::SchedulerKind;
 use clasp_ddg::{Ddg, LoopAnalysis, NodeId};
 use clasp_machine::MachineSpec;
 use clasp_mrt::{ClusterMap, PlaceOutcome, SlotRequest, TimeMrt};
-use std::collections::HashMap;
 
 enum AnalysisRef<'a> {
     Owned(LoopAnalysis),
@@ -201,7 +200,7 @@ impl<'a> SchedContext<'a> {
         self.stats.attempts += 1;
         let n = self.requests.len();
         if n == 0 {
-            return Ok(Schedule::new(ii, HashMap::new()));
+            return Ok(Schedule::new(ii, std::iter::empty()));
         }
 
         // Reset all per-attempt state; no allocation, the MRT reset is
@@ -356,12 +355,12 @@ impl<'a> SchedContext<'a> {
             }
         }
 
-        let result: HashMap<NodeId, i64> = self
-            .g
-            .node_ids()
-            .map(|v| (v, self.time[v.index()].expect("all scheduled")))
-            .collect();
-        Ok(Schedule::new(ii, result))
+        Ok(Schedule::new(
+            ii,
+            self.g
+                .node_ids()
+                .map(|v| (v, self.time[v.index()].expect("all scheduled"))),
+        ))
     }
 
     /// Try `min_ii`, `min_ii + 1`, ... up to `max_ii` until one II

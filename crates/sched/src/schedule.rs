@@ -3,24 +3,55 @@
 use clasp_ddg::{Ddg, NodeId, OpKind};
 use clasp_machine::{ClusterId, MachineSpec};
 use clasp_mrt::{ClusterMap, SlotRequest, TimeMrt};
-use std::collections::HashMap;
 
 /// A complete modulo schedule: an issue cycle for every node of the
 /// working graph at a fixed initiation interval.
 ///
 /// Cycle `t` maps to kernel row `t mod II` and stage `t / II`.
+///
+/// Dense storage: one optional cycle per node id, up to the largest id
+/// scheduled, so a lookup is an index and two schedules are equal exactly
+/// when they have the same II and the same `(node, cycle)` pairs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schedule {
     ii: u32,
-    time: HashMap<NodeId, i64>,
+    time: Vec<Option<i64>>,
+    len: usize,
 }
 
 impl Schedule {
-    /// Build a schedule from parts (used by schedulers; prefer reading
-    /// schedules produced by [`crate::iterative_schedule`]).
-    pub fn new(ii: u32, time: HashMap<NodeId, i64>) -> Self {
+    /// Build a schedule from `(node, cycle)` pairs (used by schedulers;
+    /// prefer reading schedules produced by [`crate::iterative_schedule`]).
+    /// Any pair iterator passes, a `HashMap<NodeId, i64>` included; when
+    /// a node repeats, its last cycle wins.
+    ///
+    /// The table is sized by the largest node id given, so the caller
+    /// bounds the ids: every producer in this workspace passes ids of one
+    /// graph, and the artifact codec checks each id against its graph's
+    /// node count before it builds a schedule.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ii` is 0.
+    pub fn new(ii: u32, time: impl IntoIterator<Item = (NodeId, i64)>) -> Self {
         assert!(ii > 0, "II must be positive");
-        Schedule { ii, time }
+        let time = time.into_iter();
+        let mut table = Vec::with_capacity(time.size_hint().0);
+        let mut len = 0;
+        for (n, t) in time {
+            let i = n.index();
+            if i >= table.len() {
+                table.resize(i + 1, None);
+            }
+            if table[i].replace(t).is_none() {
+                len += 1;
+            }
+        }
+        Schedule {
+            ii,
+            time: table,
+            len,
+        }
     }
 
     /// The initiation interval.
@@ -30,7 +61,7 @@ impl Schedule {
 
     /// Issue cycle of `n`, if scheduled.
     pub fn start(&self, n: NodeId) -> Option<i64> {
-        self.time.get(&n).copied()
+        self.time.get(n.index()).copied().flatten()
     }
 
     /// Kernel row (`start mod II`) of `n`.
@@ -46,26 +77,29 @@ impl Schedule {
 
     /// Number of scheduled nodes.
     pub fn len(&self) -> usize {
-        self.time.len()
+        self.len
     }
 
     /// Whether the schedule is empty.
     pub fn is_empty(&self) -> bool {
-        self.time.is_empty()
+        self.len == 0
     }
 
     /// Number of pipeline stages (max stage - min stage + 1); 0 if empty.
     pub fn stage_count(&self) -> i64 {
-        let stages: Vec<i64> = self.time.keys().filter_map(|&n| self.stage(n)).collect();
-        match (stages.iter().min(), stages.iter().max()) {
+        let stage = |(_, t): (NodeId, i64)| t.div_euclid(i64::from(self.ii));
+        match (self.iter().map(stage).min(), self.iter().map(stage).max()) {
             (Some(lo), Some(hi)) => hi - lo + 1,
             _ => 0,
         }
     }
 
-    /// Iterate over `(node, cycle)` pairs in unspecified order.
+    /// Iterate over `(node, cycle)` pairs in ascending node order.
     pub fn iter(&self) -> impl Iterator<Item = (NodeId, i64)> + '_ {
-        self.time.iter().map(|(&n, &t)| (n, t))
+        self.time
+            .iter()
+            .enumerate()
+            .filter_map(|(i, t)| t.map(|t| (NodeId(i as u32), t)))
     }
 }
 
@@ -242,6 +276,7 @@ pub fn unified_map(g: &Ddg, machine: &MachineSpec) -> ClusterMap {
 mod tests {
     use super::*;
     use clasp_machine::presets;
+    use std::collections::HashMap;
 
     fn tiny() -> (Ddg, NodeId, NodeId) {
         let mut g = Ddg::new("tiny");
@@ -262,6 +297,21 @@ mod tests {
         assert_eq!(s.stage(NodeId(1)), Some(2));
         assert_eq!(s.stage_count(), 3);
         assert_eq!(s.len(), 2);
+    }
+
+    #[test]
+    fn equal_pairs_make_equal_schedules_in_node_order() {
+        let pairs = [(NodeId(3), 7i64), (NodeId(0), -2), (NodeId(1), 4)];
+        let from_map = Schedule::new(2, pairs.into_iter().collect::<HashMap<_, _>>());
+        let from_pairs = Schedule::new(2, pairs.into_iter().rev());
+        assert_eq!(from_map, from_pairs);
+        assert_eq!(from_map.len(), 3);
+        assert_eq!(from_map.start(NodeId(2)), None);
+        assert_eq!(from_map.start(NodeId(9)), None);
+        let order: Vec<_> = from_map.iter().collect();
+        assert_eq!(order, vec![(NodeId(0), -2), (NodeId(1), 4), (NodeId(3), 7)]);
+        assert_ne!(from_map, Schedule::new(3, pairs));
+        assert_ne!(from_map, Schedule::new(2, pairs.into_iter().take(2)));
     }
 
     #[test]

@@ -41,7 +41,6 @@ use clasp_kernel::{emit_program_with, RegisterModel, SimError};
 use clasp_machine::{ClusterId, LinkId};
 use clasp_mrt::{ClusterMap, CopyMeta};
 use clasp_sched::{SchedFailure, Schedule, ScheduleError, SchedulerKind};
-use std::collections::HashMap;
 use std::fmt;
 use std::fmt::Write as _;
 
@@ -171,23 +170,38 @@ impl<'a> Tokens<'a> {
     }
 }
 
-/// A cursor over payload lines.
+/// A cursor over payload lines (split as [`str::lines`] splits them).
 struct Lines<'a> {
-    iter: std::str::Lines<'a>,
+    rest: &'a str,
 }
 
 impl<'a> Lines<'a> {
     fn of(payload: &'a str) -> Lines<'a> {
-        Lines {
-            iter: payload.lines(),
-        }
+        Lines { rest: payload }
     }
 
     fn next(&mut self) -> Result<&'a str, CodecError> {
-        match self.iter.next() {
-            Some(l) => Ok(l),
-            None => err("truncated payload"),
+        if self.rest.is_empty() {
+            return err("truncated payload");
         }
+        let line = match self.rest.split_once('\n') {
+            Some((line, rest)) => {
+                self.rest = rest;
+                line.strip_suffix('\r').unwrap_or(line)
+            }
+            None => std::mem::take(&mut self.rest),
+        };
+        Ok(line)
+    }
+
+    /// `count`, if that many more lines could still follow (each takes at
+    /// least one byte): a count read from the payload is checked here
+    /// before anything is sized by it.
+    fn bound(&self, count: usize, what: &str) -> Result<usize, CodecError> {
+        if count > self.rest.len() {
+            return err(format!("{what} count {count} exceeds the payload"));
+        }
+        Ok(count)
     }
 
     fn next_tokens(&mut self) -> Result<Tokens<'a>, CodecError> {
@@ -593,11 +607,9 @@ pub fn encode(result: &Result<CompiledArtifact, PipelineError>, iterations: i64)
                 a.assignment.ii, s.ii_attempts, s.removals, s.forced, s.copies
             );
 
-            // Final schedule, sorted by node id for canonical form.
-            let mut times: Vec<(NodeId, i64)> = a.schedule.iter().collect();
-            times.sort_by_key(|(n, _)| n.0);
-            let _ = writeln!(out, "sched {} {}", a.schedule.ii(), times.len());
-            for (n, t) in times {
+            // Final schedule, in node order (canonical form).
+            let _ = writeln!(out, "sched {} {}", a.schedule.ii(), a.schedule.len());
+            for (n, t) in a.schedule.iter() {
                 let _ = writeln!(out, "t {} {t}", n.0);
             }
 
@@ -640,10 +652,16 @@ pub fn encode(result: &Result<CompiledArtifact, PipelineError>, iterations: i64)
 /// Decode a payload produced by [`encode`], recomputing the register
 /// model and the emitted program from the persisted graph + schedule.
 ///
+/// The payload is checked before anything is sized by it or rebuilt from
+/// it: every count must fit in what remains of the payload, every node id
+/// must name a node of the `graph` line, every node must have a cluster
+/// and a cycle, every copy its transport metadata, the iteration count
+/// must not be negative, and the report's II must be the schedule's.
+///
 /// # Errors
 ///
-/// [`CodecError`] on any malformed or version-mismatched payload; the
-/// caller degrades this to a cache miss.
+/// [`CodecError`] on any malformed, inconsistent or version-mismatched
+/// payload; the caller degrades this to a cache miss.
 pub fn decode(payload: &str) -> Result<Result<CompiledArtifact, PipelineError>, CodecError> {
     let mut lines = Lines::of(payload);
     let mut head = lines.next_tokens()?;
@@ -669,6 +687,15 @@ pub fn decode(payload: &str) -> Result<Result<CompiledArtifact, PipelineError>, 
     }
 }
 
+/// A node id token, checked against the graph's node count.
+fn node_of(t: &mut Tokens<'_>, node_count: usize) -> Result<NodeId, CodecError> {
+    let id: u32 = t.parse()?;
+    if id as usize >= node_count {
+        return err(format!("node id {id} outside a {node_count}-node graph"));
+    }
+    Ok(NodeId(id))
+}
+
 fn decode_artifact(lines: &mut Lines<'_>) -> Result<CompiledArtifact, CodecError> {
     let mut t = lines.next_tokens()?;
     t.expect("loop")?;
@@ -688,6 +715,9 @@ fn decode_artifact(lines: &mut Lines<'_>) -> Result<CompiledArtifact, CodecError
     let register_model = model_of(t.next()?)?;
     let iterations: i64 = t.parse()?;
     t.done()?;
+    if iterations < 0 {
+        return err(format!("negative iteration count {iterations}"));
+    }
 
     // Working graph.
     let mut t = lines.next_tokens()?;
@@ -741,7 +771,7 @@ fn decode_artifact(lines: &mut Lines<'_>) -> Result<CompiledArtifact, CodecError
     for _ in 0..assigned {
         let mut t = lines.next_tokens()?;
         t.expect("a")?;
-        let n = NodeId(t.parse()?);
+        let n = node_of(&mut t, node_count)?;
         let c = ClusterId(t.parse()?);
         t.done()?;
         map.assign(n, c);
@@ -753,7 +783,7 @@ fn decode_artifact(lines: &mut Lines<'_>) -> Result<CompiledArtifact, CodecError
     for _ in 0..copies {
         let mut t = lines.next_tokens()?;
         t.expect("c")?;
-        let n = NodeId(t.parse()?);
+        let n = node_of(&mut t, node_count)?;
         let src = ClusterId(t.parse()?);
         let link = match t.next()? {
             "-" => None,
@@ -763,6 +793,9 @@ fn decode_artifact(lines: &mut Lines<'_>) -> Result<CompiledArtifact, CodecError
             )),
         };
         let target_count: usize = t.parse()?;
+        if target_count > t.line.len() {
+            return err(format!("copy target count {target_count} exceeds its line"));
+        }
         let mut targets = Vec::with_capacity(target_count);
         for _ in 0..target_count {
             targets.push(ClusterId(t.parse()?));
@@ -788,23 +821,37 @@ fn decode_artifact(lines: &mut Lines<'_>) -> Result<CompiledArtifact, CodecError
     if sched_ii == 0 {
         return err("schedule II must be positive");
     }
-    let sched_len: usize = t.parse()?;
+    let sched_len = lines.bound(t.parse()?, "schedule")?;
     t.done()?;
-    let mut time = HashMap::with_capacity(sched_len);
+    let mut time = Vec::with_capacity(sched_len);
     for _ in 0..sched_len {
         let mut t = lines.next_tokens()?;
         t.expect("t")?;
-        let n = NodeId(t.parse()?);
+        let n = node_of(&mut t, node_count)?;
         let cycle: i64 = t.parse()?;
         t.done()?;
-        time.insert(n, cycle);
+        time.push((n, cycle));
     }
     let schedule = Schedule::new(sched_ii, time);
+    // Emission and the register models read every node's cluster and
+    // cycle and every copy's targets: a payload missing one is rejected
+    // here rather than panicking there.
+    for (n, op) in wg.nodes() {
+        if map.cluster_of(n).is_none() {
+            return err(format!("node {} has no cluster", n.0));
+        }
+        if schedule.start(n).is_none() {
+            return err(format!("node {} has no cycle", n.0));
+        }
+        if op.kind.is_copy() && map.copy_meta(n).is_none() {
+            return err(format!("copy {} has no transport metadata", n.0));
+        }
+    }
 
     // Trajectory.
     let mut t = lines.next_tokens()?;
     t.expect("traj")?;
-    let steps: usize = t.parse()?;
+    let steps = lines.bound(t.parse()?, "trajectory")?;
     t.done()?;
     let mut trajectory = Vec::with_capacity(steps);
     for _ in 0..steps {
@@ -831,6 +878,11 @@ fn decode_artifact(lines: &mut Lines<'_>) -> Result<CompiledArtifact, CodecError
     let mut t = lines.next_tokens()?;
     t.expect("report")?;
     let ii: u32 = t.parse()?;
+    if ii != sched_ii {
+        return err(format!(
+            "report II {ii} is not the schedule's II {sched_ii}"
+        ));
+    }
     let report_copies: usize = t.parse()?;
     let stage_moves: usize = t.parse()?;
     let lifetime_before: i64 = t.parse()?;
@@ -1075,6 +1127,120 @@ mod tests {
             let truncated = &payload[..cut];
             assert!(decode(truncated).is_err(), "truncation at {cut} must fail");
         }
+
+        // A real payload with copies, mutated so that it still parses but
+        // names nodes the graph lacks, leaves a node or copy uncovered,
+        // contradicts itself, or announces more than it holds. Each must
+        // fail with its own typed error before anything is sized by it or
+        // rebuilt from it.
+        let payload = payload_with_copies();
+        let huge = "4611686018427387904";
+        let cases = [
+            ("a-id", set_token(&payload, "a", 1, "4294967295"), "outside"),
+            ("c-id", set_token(&payload, "c", 1, "4294967295"), "outside"),
+            ("t-id", set_token(&payload, "t", 1, "4294967295"), "outside"),
+            ("no-a", drop_line(&payload, "a", "map"), "has no cluster"),
+            ("no-t", drop_line(&payload, "t", "sched"), "has no cycle"),
+            (
+                "no-c",
+                drop_line(&payload, "c", "copies"),
+                "transport metadata",
+            ),
+            (
+                "iterations",
+                set_token(&payload, "config", 3, "-1"),
+                "negative",
+            ),
+            (
+                "report-ii",
+                edit_line(&payload, "report", |t| {
+                    t[1] = (t[1].parse::<u32>().unwrap() + 1).to_string();
+                }),
+                "report II",
+            ),
+            (
+                "sched-count",
+                set_token(&payload, "sched", 2, huge),
+                "exceeds",
+            ),
+            (
+                "traj-count",
+                set_token(&payload, "traj", 1, huge),
+                "exceeds",
+            ),
+            ("target-count", set_token(&payload, "c", 4, huge), "exceeds"),
+        ];
+        for (case, bad, why) in cases {
+            assert_ne!(bad, payload, "{case} must change the payload");
+            let e = decode(&bad).expect_err(case);
+            assert!(e.to_string().contains(why), "{case}: {e}");
+        }
+    }
+
+    /// Two load-multiply chains summed into a carried accumulator and
+    /// stored, on two clusters: the chains split, and both the sum and
+    /// one product cross clusters, so the payload carries copies.
+    fn payload_with_copies() -> String {
+        let g = build(
+            &[
+                (OpKind::Load, None),
+                (OpKind::Load, None),
+                (OpKind::FpMult, None),
+                (OpKind::Load, None),
+                (OpKind::Load, None),
+                (OpKind::FpMult, None),
+                (OpKind::FpAdd, None),
+                (OpKind::Store, None),
+            ],
+            &[
+                (0, 2, 0),
+                (1, 2, 0),
+                (3, 5, 0),
+                (4, 5, 0),
+                (2, 6, 0),
+                (5, 6, 0),
+                (6, 6, 1),
+                (6, 7, 0),
+            ],
+        );
+        let m = presets::two_cluster_gp(2, 1);
+        let req = CompileRequest::default();
+        let artifact = compile_full(&g, &m, &req).expect("compiles");
+        assert!(artifact.assignment.map.copy_count() > 0);
+        encode(&Ok(artifact), req.iterations)
+    }
+
+    /// `payload` with the tokens of its first line headed `head` passed
+    /// through `edit`; a line left with no tokens is dropped.
+    fn edit_line(payload: &str, head: &str, edit: impl FnOnce(&mut Vec<String>)) -> String {
+        let mut lines: Vec<String> = payload.lines().map(str::to_string).collect();
+        let at = lines
+            .iter()
+            .position(|l| l.split(' ').next() == Some(head))
+            .unwrap_or_else(|| panic!("no {head:?} line"));
+        let mut tokens: Vec<String> = lines[at].split(' ').map(str::to_string).collect();
+        edit(&mut tokens);
+        if tokens.is_empty() {
+            lines.remove(at);
+        } else {
+            lines[at] = tokens.join(" ");
+        }
+        lines.join("\n") + "\n"
+    }
+
+    /// `payload` with token `k` of its first `head` line set to `value`.
+    fn set_token(payload: &str, head: &str, k: usize, value: &str) -> String {
+        edit_line(payload, head, |t| t[k] = value.to_string())
+    }
+
+    /// `payload` without its first `head` line, and with the count that
+    /// ends its `count` line lowered to match.
+    fn drop_line(payload: &str, head: &str, count: &str) -> String {
+        let dropped = edit_line(payload, head, Vec::clear);
+        edit_line(&dropped, count, |t| {
+            let n = t.last_mut().expect("a count");
+            *n = (n.parse::<usize>().unwrap() - 1).to_string();
+        })
     }
 
     #[test]
