@@ -11,7 +11,8 @@
 //!   (an op's cluster and kind, a copy's source, targets and link);
 //! - [`TimeMrt`]: a `cycle mod II` x resource-instance grid for the
 //!   *scheduling* phase, with conflict reporting and force-place eviction
-//!   for the iterative modulo scheduler.
+//!   for the iterative modulo scheduler. It holds occupancy only; the
+//!   scheduler removes a placement by naming its row.
 //!
 //! The crate also hosts [`ClusterMap`], the cluster-annotation layer the
 //! assigner produces and the scheduler consumes.
@@ -25,4 +26,4 @@ mod table;
 
 pub use count::{CountMrt, Full};
 pub use map::{ClusterMap, CopyMeta, CopyTargets};
-pub use table::{Conflict, PlaceOutcome, SlotRequest, TimeMrt};
+pub use table::{PlaceOutcome, SlotRequest, TimeMrt};

@@ -6,22 +6,22 @@
 //! iterative modulo scheduler places operations at `cycle mod II`, and on
 //! conflict evicts the current holders (Rau's force-place).
 //!
-//! The table is a dense flat grid with a generation (epoch) counter:
-//! clearing or resizing to a new II bumps the epoch so every cell of an
-//! older epoch reads as empty. Occupancy is additionally mirrored in
-//! `u64`-word bitset rows, so the scheduler's free-column probes are mask
-//! tests and trailing-zero scans instead of per-slot holder walks (the
-//! grid itself is only consulted to name blockers). Placement state, the
-//! planning scratch, and per-node column lists are all reused across
-//! attempts, so a warmed table performs no heap allocation on the
-//! place/evict/remove/reset path (see [`TimeMrt::reset`]).
+//! The table holds occupancy only; the scheduler removes a placement by
+//! naming its row. Occupancy lives in `u64`-word bitset rows, so the
+//! scheduler's free-column probes are mask tests and trailing-zero scans,
+//! and a row-major holder grid beside it names the node in each cell; a
+//! holder is read only where its bit is set, so neither a reset nor a
+//! removal ever touches the grid. The buffers and the probe scratch are
+//! reused across attempts, so a warmed table performs no heap allocation
+//! on the place/evict/remove/reset path (see [`TimeMrt::reset`]).
 
+use crate::CopyMeta;
 use clasp_ddg::{NodeId, OpKind};
 use clasp_machine::{ClusterId, LinkId, MachineSpec};
 
 /// A resource request for placing one node at one row.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SlotRequest {
+pub enum SlotRequest<'a> {
     /// A real operation needing one function unit on its cluster.
     Fu {
         /// The cluster the operation is assigned to.
@@ -29,16 +29,11 @@ pub enum SlotRequest {
         /// The operation kind (decides dedicated-vs-GP unit eligibility).
         kind: OpKind,
     },
-    /// A copy needing one read port at the source, one write port per
-    /// target, and one bus (`link == None`) or the given link.
-    Copy {
-        /// Source cluster.
-        src: ClusterId,
-        /// Destination clusters (several only on broadcast buses).
-        targets: Vec<ClusterId>,
-        /// Dedicated link for point-to-point machines.
-        link: Option<LinkId>,
-    },
+    /// A copy needing one read port at its source, one write port per
+    /// target (several only on broadcast buses), and one bus
+    /// (`link == None`) or the given link. The metadata is borrowed from
+    /// the [`crate::ClusterMap`] that records it.
+    Copy(&'a CopyMeta),
 }
 
 /// Column layout bookkeeping: offsets of each resource group.
@@ -57,6 +52,8 @@ struct Layout {
     link_base: usize,
     link_count: usize,
     total: usize,
+    /// `u64` words per packed occupancy row (`ceil(total / 64)`).
+    words: usize,
 }
 
 impl Layout {
@@ -112,6 +109,7 @@ impl Layout {
             link_base,
             link_count,
             total: off,
+            words: off.div_ceil(64),
         }
     }
 
@@ -154,22 +152,12 @@ impl Layout {
     }
 }
 
-/// The set of nodes blocking a placement.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Conflict {
-    /// Current holders that would need to be evicted (deduplicated). Empty
-    /// means the request can never fit (a needed resource has too few
-    /// instances for it).
-    pub blockers: Vec<NodeId>,
-}
-
-/// Result of a non-allocating placement probe ([`TimeMrt::try_place_quiet`]).
+/// Result of a placement probe ([`TimeMrt::try_place`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlaceOutcome {
     /// The node was placed; the resources are now held.
     Placed,
-    /// Current holders block the placement (read them, at least one, with
-    /// [`TimeMrt::last_blockers`] or evict via
+    /// Current holders block the placement (evict them with
     /// [`TimeMrt::place_evicting_into`]).
     Blocked,
     /// The request can never fit on this machine: a needed resource has
@@ -178,71 +166,49 @@ pub enum PlaceOutcome {
     Impossible,
 }
 
-/// One grid cell: occupied in epoch `epoch` by `holder`. A cell whose
-/// epoch differs from the table's current epoch is empty.
-#[derive(Debug, Clone, Copy)]
-struct Cell {
-    epoch: u32,
-    holder: NodeId,
-}
-
-const EMPTY_CELL: Cell = Cell {
-    epoch: 0,
-    holder: NodeId(0),
-};
-
-/// Sentinel for "not placed" in the per-node row table.
-const ROW_NONE: u32 = u32::MAX;
-
 /// Time-indexed MRT for `machine` at a fixed II.
 ///
-/// Backed by a dense `columns x rows` grid with an epoch counter, so
-/// [`TimeMrt::clear`] and [`TimeMrt::reset`] are O(1) and a warmed table
-/// allocates nothing while scheduling.
+/// Backed by `u64` occupancy rows and a holder grid that is read only
+/// where a bit is set, so [`TimeMrt::reset`] zeroes a few words per row
+/// and a warmed table allocates nothing while scheduling. The table
+/// records no node's row: the caller names it to [`TimeMrt::remove`].
 ///
 /// # Examples
 ///
 /// ```
-/// use clasp_mrt::{SlotRequest, TimeMrt};
+/// use clasp_mrt::{PlaceOutcome, SlotRequest, TimeMrt};
 /// use clasp_machine::{presets, ClusterId};
 /// use clasp_ddg::{NodeId, OpKind};
 ///
 /// let m = presets::unified_gp(2);
 /// let mut mrt = TimeMrt::new(&m, 2);
 /// let req = SlotRequest::Fu { cluster: ClusterId(0), kind: OpKind::IntAlu };
-/// assert!(mrt.try_place(NodeId(0), 0, &req).is_ok());
-/// assert!(mrt.try_place(NodeId(1), 0, &req).is_ok());
+/// assert_eq!(mrt.try_place(NodeId(0), 0, &req), PlaceOutcome::Placed);
+/// assert_eq!(mrt.try_place(NodeId(1), 0, &req), PlaceOutcome::Placed);
 /// // Row 0 is full (2 GP units); a third op conflicts.
-/// assert!(mrt.try_place(NodeId(2), 0, &req).is_err());
-/// assert!(mrt.try_place(NodeId(2), 1, &req).is_ok());
+/// assert_eq!(mrt.try_place(NodeId(2), 0, &req), PlaceOutcome::Blocked);
+/// // Removing a holder from its row frees its unit.
+/// mrt.remove(NodeId(1), 0);
+/// assert_eq!(mrt.try_place(NodeId(2), 0, &req), PlaceOutcome::Placed);
 /// // Move to a different II without reallocating: old placements vanish.
 /// mrt.reset(3);
-/// assert_eq!(mrt.placed_count(), 0);
-/// assert!(mrt.try_place(NodeId(2), 2, &req).is_ok());
+/// assert_eq!(mrt.try_place(NodeId(3), 0, &req), PlaceOutcome::Placed);
 /// ```
 #[derive(Debug, Clone)]
 pub struct TimeMrt {
-    ii: u32,
     layout: Layout,
-    /// Cells and nodes are live only when their epoch matches.
-    epoch: u32,
-    /// Allocated rows per column (`>= ii`; grows, never shrinks).
+    ii: u32,
+    /// Allocated rows (`>= ii`; grows, never shrinks).
     cap_rows: usize,
-    /// `grid[col * cap_rows + row]`.
-    grid: Vec<Cell>,
-    /// `u64` words per packed occupancy row (`ceil(layout.total / 64)`).
-    words: usize,
     /// Packed occupancy, row-major: bit `col % 64` of
-    /// `occ[row * words + col / 64]` is set iff `col` is held at `row` in
-    /// the current epoch. Rows `>= ii` may hold stale bits — they are
-    /// never probed, and [`TimeMrt::reset`] re-zeroes every row of the
-    /// new II before they come back into range.
+    /// `occ[row * words + col / 64]` is set iff `col` is held at `row`.
+    /// Rows `>= ii` may hold stale bits: they are never probed, and
+    /// [`TimeMrt::reset`] re-zeroes every row of the new II before they
+    /// come back into range.
     occ: Vec<u64>,
-    node_epoch: Vec<u32>,
-    node_row: Vec<u32>,
-    /// Columns held per node; inner capacity persists across epochs.
-    node_cols: Vec<Vec<usize>>,
-    placed: usize,
+    /// `holders[row * total + col]`: the node holding `col` at `row`,
+    /// meaningful only where the occupancy bit is set.
+    holders: Vec<NodeId>,
     plan_cols: Vec<usize>,
     plan_blockers: Vec<NodeId>,
 }
@@ -257,19 +223,12 @@ impl TimeMrt {
         assert!(ii > 0, "II must be positive");
         let layout = Layout::new(machine);
         let cap_rows = ii as usize;
-        let words = layout.total.div_ceil(64);
         TimeMrt {
-            ii,
-            grid: vec![EMPTY_CELL; layout.total * cap_rows],
+            occ: vec![0; layout.words * cap_rows],
+            holders: vec![NodeId(0); layout.total * cap_rows],
             layout,
-            epoch: 1,
+            ii,
             cap_rows,
-            words,
-            occ: vec![0; words * cap_rows],
-            node_epoch: Vec::new(),
-            node_row: Vec::new(),
-            node_cols: Vec::new(),
-            placed: 0,
             plan_cols: Vec::new(),
             plan_blockers: Vec::new(),
         }
@@ -280,27 +239,12 @@ impl TimeMrt {
         self.ii
     }
 
-    /// The row (`cycle mod II`) and nothing else for a placed node.
-    pub fn row_of(&self, node: NodeId) -> Option<u32> {
-        let i = node.index();
-        if self.is_placed(i) {
-            Some(self.node_row[i])
-        } else {
-            None
-        }
-    }
-
-    /// Number of nodes currently placed.
-    pub fn placed_count(&self) -> usize {
-        self.placed
-    }
-
-    /// Drop every placement and move the table to a new II: the epoch
-    /// counter is bumped, invalidating all cells at once, and the packed
+    /// Drop every placement and move the table to a new II: the packed
     /// occupancy rows of the new II are zeroed (a handful of words per
-    /// row). The backing buffers only grow (doubling) when `ii` exceeds
-    /// every II seen before, so sweeping `ii = min..=max` over one table
-    /// performs O(log max) allocations total and none once warmed.
+    /// row) and nothing else is touched. The backing buffers only grow
+    /// (doubling) when `ii` exceeds every II seen before, so sweeping
+    /// `ii = min..=max` over one table performs O(log max) allocations
+    /// total and none once warmed.
     ///
     /// # Panics
     ///
@@ -310,74 +254,21 @@ impl TimeMrt {
         self.ii = ii;
         if ii as usize > self.cap_rows {
             self.cap_rows = (self.cap_rows * 2).max(ii as usize);
-            self.grid.clear();
-            self.grid
-                .resize(self.layout.total * self.cap_rows, EMPTY_CELL);
-            self.occ.clear();
-            self.occ.resize(self.words * self.cap_rows, 0);
+            self.occ.resize(self.layout.words * self.cap_rows, 0);
+            self.holders
+                .resize(self.layout.total * self.cap_rows, NodeId(0));
         }
-        self.bump_epoch();
-        self.clear_occ_rows();
-        self.placed = 0;
+        self.occ[..self.layout.words * ii as usize].fill(0);
     }
 
-    /// Clear all placements (keeps the II).
-    pub fn clear(&mut self) {
-        self.bump_epoch();
-        self.clear_occ_rows();
-        self.placed = 0;
-    }
-
-    /// Zero the packed occupancy of every row in `0..ii` (rows beyond the
-    /// II are cleaned up by whichever future `reset` brings them back
-    /// into range).
-    fn clear_occ_rows(&mut self) {
-        self.occ[..self.words * self.ii as usize].fill(0);
-    }
-
-    /// Blockers recorded by the most recent [`TimeMrt::try_place_quiet`]
-    /// that returned [`PlaceOutcome::Blocked`] (deduplicated).
-    pub fn last_blockers(&self) -> &[NodeId] {
-        &self.plan_blockers
-    }
-
-    fn bump_epoch(&mut self) {
-        if self.epoch == u32::MAX {
-            // Epoch wraparound (once per 2^32 resets): physically clear.
-            for cell in &mut self.grid {
-                cell.epoch = 0;
-            }
-            for e in &mut self.node_epoch {
-                *e = 0;
-            }
-            self.occ.fill(0);
-            self.epoch = 1;
-        } else {
-            self.epoch += 1;
-        }
-    }
-
-    fn is_placed(&self, idx: usize) -> bool {
-        idx < self.node_epoch.len()
-            && self.node_epoch[idx] == self.epoch
-            && self.node_row[idx] != ROW_NONE
-    }
-
-    fn ensure_node(&mut self, idx: usize) {
-        if idx >= self.node_epoch.len() {
-            self.node_epoch.resize(idx + 1, 0);
-            self.node_row.resize(idx + 1, ROW_NONE);
-            self.node_cols.resize_with(idx + 1, Vec::new);
-        }
+    /// The occupancy words of `row`.
+    fn occ_row(&self, row: usize) -> &[u64] {
+        &self.occ[row * self.layout.words..(row + 1) * self.layout.words]
     }
 
     fn holder(&self, col: usize, row: usize) -> Option<NodeId> {
-        let cell = self.grid[col * self.cap_rows + row];
-        if cell.epoch == self.epoch {
-            Some(cell.holder)
-        } else {
-            None
-        }
+        let held = self.occ_row(row)[col / 64] & (1 << (col % 64)) != 0;
+        held.then(|| self.holders[row * self.layout.total + col])
     }
 
     /// First free column in `[base, base + count)` at `row` that is not in
@@ -394,7 +285,7 @@ impl TimeMrt {
         claimed: &[usize],
     ) -> Option<usize> {
         let end = base + count;
-        let occ = &self.occ[row * self.words..(row + 1) * self.words];
+        let occ = self.occ_row(row);
         let (first, last) = (base / 64, (end - 1) / 64);
         for (w, word) in occ.iter().enumerate().take(last + 1).skip(first) {
             let lo = w * 64;
@@ -420,11 +311,13 @@ impl TimeMrt {
     /// eligible ranges, dedicated + GP): the first free column across all
     /// of them not already claimed by this same request. On failure the
     /// victim instance is the first column of the first non-empty group
-    /// that this request has not claimed itself; its holder is reported
-    /// as a blocker. `Err(())` when there is no such column: the request
-    /// alone needs more instances than the machine has (a copy naming
-    /// one target cluster more often than it has write ports), which no
-    /// eviction can fix.
+    /// that this request has not claimed itself; it is claimed too, so a
+    /// later claim on the same group names another victim, and its holder
+    /// is reported as a blocker. `Err(())` when there is no such column:
+    /// the request alone needs more instances than the machine has (a
+    /// copy naming one target cluster more often than it has write
+    /// ports, or a resource the machine lacks), which no eviction can
+    /// fix, however the row is occupied.
     fn claim_one(
         &self,
         row: usize,
@@ -432,18 +325,19 @@ impl TimeMrt {
         cols: &mut Vec<usize>,
         blockers: &mut Vec<NodeId>,
     ) -> Result<bool, ()> {
-        for &(base, count) in groups {
+        for &(base, count) in groups.iter().filter(|&&(_, count)| count > 0) {
             if let Some(c) = self.first_free_in(base, count, row, cols) {
                 cols.push(c);
                 return Ok(true);
             }
         }
-        let owner = groups
+        let victim = groups
             .iter()
             .find(|&&(_, count)| count > 0)
             .and_then(|&(base, count)| (base..base + count).find(|c| !cols.contains(c)))
-            .and_then(|c| self.holder(c, row))
             .ok_or(())?;
+        cols.push(victim);
+        let owner = self.holder(victim, row).ok_or(())?;
         if !blockers.contains(&owner) {
             blockers.push(owner);
         }
@@ -464,82 +358,53 @@ impl TimeMrt {
         match req {
             SlotRequest::Fu { cluster, kind } => {
                 let (groups, len) = self.layout.fu_groups(*cluster, *kind);
-                if len == 0 {
-                    return Err(());
-                }
                 self.claim_one(row, &groups[..len], cols, blockers)
             }
-            SlotRequest::Copy { src, targets, link } => {
-                let mut ok = true;
-                let r = self.layout.read_range(*src);
-                if r.1 == 0 {
-                    return Err(());
+            SlotRequest::Copy(meta) => {
+                let read = self.layout.read_range(meta.src);
+                let mut ok = self.claim_one(row, &[read], cols, blockers)?;
+                for &t in &meta.targets {
+                    ok &= self.claim_one(row, &[self.layout.write_range(t)], cols, blockers)?;
                 }
-                ok &= self.claim_one(row, &[r], cols, blockers)?;
-                for &t in targets {
-                    let w = self.layout.write_range(t);
-                    if w.1 == 0 {
-                        return Err(());
-                    }
-                    ok &= self.claim_one(row, &[w], cols, blockers)?;
-                }
-                match link {
-                    Some(l) => {
-                        ok &= self.claim_one(row, &[self.layout.link_col(*l)], cols, blockers)?;
-                    }
-                    None => {
-                        let b = self.layout.bus_range();
-                        if b.1 == 0 {
-                            return Err(());
-                        }
-                        ok &= self.claim_one(row, &[b], cols, blockers)?;
-                    }
-                }
+                let transport = match meta.link {
+                    Some(l) => self.layout.link_col(l),
+                    None => self.layout.bus_range(),
+                };
+                ok &= self.claim_one(row, &[transport], cols, blockers)?;
                 Ok(ok)
             }
         }
     }
 
-    /// Non-allocating placement probe: like [`TimeMrt::try_place`] but
-    /// reports the outcome as a plain enum and keeps the blocker list in
-    /// internal scratch ([`TimeMrt::last_blockers`]). This is the hot path
-    /// of the iterative scheduler's window scan.
+    /// Try to place `node` at `row` (must be `< II`); on success the
+    /// resources are held until [`TimeMrt::remove`] names `node` and `row`.
+    /// On [`PlaceOutcome::Blocked`] the blockers stay in internal scratch
+    /// for [`TimeMrt::place_evicting_into`]. This is the hot path of the
+    /// scheduler's window scan and does not allocate once warmed.
+    ///
+    /// The caller guarantees `node` holds no resource: the table does not
+    /// know which nodes are placed.
     ///
     /// # Panics
     ///
-    /// Panics if `row >= II` or `node` is already placed.
-    pub fn try_place_quiet(&mut self, node: NodeId, row: u32, req: &SlotRequest) -> PlaceOutcome {
+    /// Panics if `row >= II`.
+    pub fn try_place(&mut self, node: NodeId, row: u32, req: &SlotRequest) -> PlaceOutcome {
         assert!(row < self.ii, "row out of range");
-        let idx = node.index();
-        self.ensure_node(idx);
-        assert!(!self.is_placed(idx), "{node} already placed");
-
+        let row = row as usize;
         let mut cols = std::mem::take(&mut self.plan_cols);
         let mut blockers = std::mem::take(&mut self.plan_blockers);
         cols.clear();
         blockers.clear();
-        let planned = self.plan_into(row as usize, req, &mut cols, &mut blockers);
-        let outcome = match planned {
+        let outcome = match self.plan_into(row, req, &mut cols, &mut blockers) {
             Err(()) => PlaceOutcome::Impossible,
             Ok(false) => PlaceOutcome::Blocked,
             Ok(true) => {
                 for &c in &cols {
-                    let cell = &mut self.grid[c * self.cap_rows + row as usize];
-                    debug_assert!(cell.epoch != self.epoch);
-                    *cell = Cell {
-                        epoch: self.epoch,
-                        holder: node,
-                    };
-                    let word = &mut self.occ[row as usize * self.words + c / 64];
+                    let word = &mut self.occ[row * self.layout.words + c / 64];
                     debug_assert!(*word & (1 << (c % 64)) == 0);
                     *word |= 1 << (c % 64);
+                    self.holders[row * self.layout.total + c] = node;
                 }
-                self.node_epoch[idx] = self.epoch;
-                self.node_row[idx] = row;
-                let held = &mut self.node_cols[idx];
-                held.clear();
-                held.extend_from_slice(&cols);
-                self.placed += 1;
                 PlaceOutcome::Placed
             }
         };
@@ -548,39 +413,15 @@ impl TimeMrt {
         outcome
     }
 
-    /// Try to place `node` at `row` (must be `< II`). On success the
-    /// resources are held until [`TimeMrt::remove`].
-    ///
-    /// # Errors
-    ///
-    /// A [`Conflict`] naming the nodes that block the placement (empty if
-    /// the request is structurally impossible on this machine).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row >= II` or `node` is already placed.
-    pub fn try_place(&mut self, node: NodeId, row: u32, req: &SlotRequest) -> Result<(), Conflict> {
-        match self.try_place_quiet(node, row, req) {
-            PlaceOutcome::Placed => Ok(()),
-            PlaceOutcome::Blocked => Err(Conflict {
-                blockers: self.plan_blockers.clone(),
-            }),
-            PlaceOutcome::Impossible => Err(Conflict {
-                blockers: Vec::new(),
-            }),
-        }
-    }
-
-    /// Place `node` at `row`, evicting whoever is in the way; the evicted
-    /// nodes are appended to `evicted` (which is not cleared first). The
-    /// caller re-schedules them later (Rau's iterative force-place). Does
-    /// not allocate beyond `evicted`'s own growth.
+    /// Place `node` at `row`, evicting whoever is in the way from that
+    /// row; the evicted nodes are appended to `evicted` (which is not
+    /// cleared first). The caller re-schedules them later (Rau's iterative
+    /// force-place). Does not allocate beyond `evicted`'s own growth.
     ///
     /// # Panics
     ///
     /// Panics if the request is structurally impossible
-    /// ([`PlaceOutcome::Impossible`]), if `row >= II`, or if `node` is
-    /// already placed.
+    /// ([`PlaceOutcome::Impossible`]) or if `row >= II`.
     pub fn place_evicting_into(
         &mut self,
         node: NodeId,
@@ -589,12 +430,12 @@ impl TimeMrt {
         evicted: &mut Vec<NodeId>,
     ) {
         loop {
-            match self.try_place_quiet(node, row, req) {
+            match self.try_place(node, row, req) {
                 PlaceOutcome::Placed => return,
                 PlaceOutcome::Blocked => {
                     let mut blockers = std::mem::take(&mut self.plan_blockers);
                     for &b in &blockers {
-                        self.remove(b);
+                        self.remove(b, row);
                         evicted.push(b);
                     }
                     blockers.clear();
@@ -607,24 +448,30 @@ impl TimeMrt {
         }
     }
 
-    /// Remove `node`'s placement (no-op if absent).
-    pub fn remove(&mut self, node: NodeId) {
-        let idx = node.index();
-        if !self.is_placed(idx) {
-            return;
+    /// Free every cell of `row` that `node` holds (a no-op if it holds
+    /// none there). The caller names the row its placement went to.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row >= II`.
+    pub fn remove(&mut self, node: NodeId, row: u32) {
+        assert!(row < self.ii, "row out of range");
+        let row = row as usize;
+        let Layout { words, total, .. } = self.layout;
+        let holders = &self.holders[row * total..(row + 1) * total];
+        for (w, word) in self.occ[row * words..(row + 1) * words]
+            .iter_mut()
+            .enumerate()
+        {
+            let mut held = *word;
+            while held != 0 {
+                let bit = held.trailing_zeros() as usize;
+                held &= held - 1;
+                if holders[w * 64 + bit] == node {
+                    *word &= !(1 << bit);
+                }
+            }
         }
-        let row = self.node_row[idx] as usize;
-        let cols = std::mem::take(&mut self.node_cols[idx]);
-        for &c in &cols {
-            let cell = &mut self.grid[c * self.cap_rows + row];
-            debug_assert!(cell.epoch == self.epoch && cell.holder == node);
-            cell.epoch = 0;
-            self.occ[row * self.words + c / 64] &= !(1 << (c % 64));
-        }
-        self.node_cols[idx] = cols;
-        self.node_cols[idx].clear();
-        self.node_row[idx] = ROW_NONE;
-        self.placed -= 1;
     }
 }
 
@@ -633,27 +480,54 @@ mod tests {
     use super::*;
     use clasp_machine::presets;
 
-    fn fu(cluster: u32, kind: OpKind) -> SlotRequest {
+    fn fu(cluster: u32, kind: OpKind) -> SlotRequest<'static> {
         SlotRequest::Fu {
             cluster: ClusterId(cluster),
             kind,
         }
     }
 
+    fn copy(src: u32, targets: &[u32], link: Option<LinkId>) -> CopyMeta {
+        CopyMeta {
+            src: ClusterId(src),
+            targets: targets.iter().map(|&t| ClusterId(t)).collect(),
+            link,
+        }
+    }
+
+    /// The distinct nodes holding a cell of `row`, in column order.
+    fn holders_of(mrt: &TimeMrt, row: u32) -> Vec<NodeId> {
+        let mut out = Vec::new();
+        for c in 0..mrt.layout.total {
+            if let Some(n) = mrt.holder(c, row as usize) {
+                if !out.contains(&n) {
+                    out.push(n);
+                }
+            }
+        }
+        out
+    }
+
+    /// Probe `req` at `row` and return the outcome with the blockers.
+    fn blocked_by(mrt: &mut TimeMrt, node: u32, row: u32, req: &SlotRequest) -> Vec<NodeId> {
+        assert_eq!(mrt.try_place(NodeId(node), row, req), PlaceOutcome::Blocked);
+        mrt.plan_blockers.clone()
+    }
+
     #[test]
     fn fs_units_fill_by_class() {
         let m = presets::two_cluster_fs(2, 1); // 1 mem, 2 int, 1 fp
         let mut mrt = TimeMrt::new(&m, 1);
-        assert!(mrt.try_place(NodeId(0), 0, &fu(0, OpKind::Load)).is_ok());
+        let placed = PlaceOutcome::Placed;
+        assert_eq!(mrt.try_place(NodeId(0), 0, &fu(0, OpKind::Load)), placed);
         // Only one memory unit: second load conflicts and names blocker.
-        let e = mrt
-            .try_place(NodeId(1), 0, &fu(0, OpKind::Store))
-            .unwrap_err();
-        assert_eq!(e.blockers, vec![NodeId(0)]);
+        let store = fu(0, OpKind::Store);
+        assert_eq!(blocked_by(&mut mrt, 1, 0, &store), vec![NodeId(0)]);
         // Integer units: two fit.
-        assert!(mrt.try_place(NodeId(2), 0, &fu(0, OpKind::IntAlu)).is_ok());
-        assert!(mrt.try_place(NodeId(3), 0, &fu(0, OpKind::Shift)).is_ok());
-        assert!(mrt.try_place(NodeId(4), 0, &fu(0, OpKind::Branch)).is_err());
+        assert_eq!(mrt.try_place(NodeId(2), 0, &fu(0, OpKind::IntAlu)), placed);
+        assert_eq!(mrt.try_place(NodeId(3), 0, &fu(0, OpKind::Shift)), placed);
+        let branch = fu(0, OpKind::Branch);
+        assert_eq!(mrt.try_place(NodeId(4), 0, &branch), PlaceOutcome::Blocked);
     }
 
     #[test]
@@ -664,38 +538,39 @@ mod tests {
             .into_iter()
             .enumerate()
         {
-            assert!(mrt.try_place(NodeId(i as u32), 0, &fu(0, k)).is_ok());
+            assert_eq!(
+                mrt.try_place(NodeId(i as u32), 0, &fu(0, k)),
+                PlaceOutcome::Placed
+            );
         }
-        assert!(mrt.try_place(NodeId(9), 0, &fu(0, OpKind::FpAdd)).is_err());
+        let fadd = |c| fu(c, OpKind::FpAdd);
+        assert_eq!(mrt.try_place(NodeId(9), 0, &fadd(0)), PlaceOutcome::Blocked);
         // Other cluster independent.
-        assert!(mrt.try_place(NodeId(10), 0, &fu(1, OpKind::FpAdd)).is_ok());
+        assert_eq!(mrt.try_place(NodeId(10), 0, &fadd(1)), PlaceOutcome::Placed);
     }
 
     #[test]
     fn rows_are_independent() {
         let m = presets::unified_gp(1);
         let mut mrt = TimeMrt::new(&m, 3);
+        let req = fu(0, OpKind::IntAlu);
         for r in 0..3 {
-            assert!(mrt.try_place(NodeId(r), r, &fu(0, OpKind::IntAlu)).is_ok());
+            assert_eq!(mrt.try_place(NodeId(r), r, &req), PlaceOutcome::Placed);
         }
-        assert!(mrt.try_place(NodeId(9), 1, &fu(0, OpKind::IntAlu)).is_err());
+        assert_eq!(blocked_by(&mut mrt, 9, 1, &req), vec![NodeId(1)]);
     }
 
     #[test]
     fn copy_claims_ports_and_bus() {
         let m = presets::two_cluster_gp(1, 1);
         let mut mrt = TimeMrt::new(&m, 2);
-        let req = SlotRequest::Copy {
-            src: ClusterId(0),
-            targets: vec![ClusterId(1)],
-            link: None,
-        };
-        assert!(mrt.try_place(NodeId(0), 0, &req).is_ok());
+        let meta = copy(0, &[1], None);
+        let req = SlotRequest::Copy(&meta);
+        assert_eq!(mrt.try_place(NodeId(0), 0, &req), PlaceOutcome::Placed);
         // Same row: bus and ports busy.
-        let e = mrt.try_place(NodeId(1), 0, &req).unwrap_err();
-        assert_eq!(e.blockers, vec![NodeId(0)]);
+        assert_eq!(blocked_by(&mut mrt, 1, 0, &req), vec![NodeId(0)]);
         // Other row fine.
-        assert!(mrt.try_place(NodeId(1), 1, &req).is_ok());
+        assert_eq!(mrt.try_place(NodeId(1), 1, &req), PlaceOutcome::Placed);
     }
 
     #[test]
@@ -703,38 +578,24 @@ mod tests {
         // Copy C0->C1 and copy C1->C0 share only the bus.
         let m = presets::two_cluster_gp(2, 1); // 2 buses
         let mut mrt = TimeMrt::new(&m, 1);
-        let fwd = SlotRequest::Copy {
-            src: ClusterId(0),
-            targets: vec![ClusterId(1)],
-            link: None,
-        };
-        let rev = SlotRequest::Copy {
-            src: ClusterId(1),
-            targets: vec![ClusterId(0)],
-            link: None,
-        };
-        assert!(mrt.try_place(NodeId(0), 0, &fwd).is_ok());
-        assert!(mrt.try_place(NodeId(1), 0, &rev).is_ok());
+        let (fwd, rev) = (copy(0, &[1], None), copy(1, &[0], None));
+        let fwd = SlotRequest::Copy(&fwd);
+        let rev = SlotRequest::Copy(&rev);
+        assert_eq!(mrt.try_place(NodeId(0), 0, &fwd), PlaceOutcome::Placed);
+        assert_eq!(mrt.try_place(NodeId(1), 0, &rev), PlaceOutcome::Placed);
     }
 
     #[test]
     fn broadcast_copy_claims_every_target_port() {
         let m = presets::four_cluster_gp(4, 1);
         let mut mrt = TimeMrt::new(&m, 1);
-        let req = SlotRequest::Copy {
-            src: ClusterId(0),
-            targets: vec![ClusterId(1), ClusterId(2), ClusterId(3)],
-            link: None,
-        };
-        assert!(mrt.try_place(NodeId(0), 0, &req).is_ok());
+        let meta = copy(0, &[1, 2, 3], None);
+        let req = SlotRequest::Copy(&meta);
+        assert_eq!(mrt.try_place(NodeId(0), 0, &req), PlaceOutcome::Placed);
         // C1's write port is taken.
-        let other = SlotRequest::Copy {
-            src: ClusterId(2),
-            targets: vec![ClusterId(1)],
-            link: None,
-        };
-        let e = mrt.try_place(NodeId(1), 0, &other).unwrap_err();
-        assert_eq!(e.blockers, vec![NodeId(0)]);
+        let other = copy(2, &[1], None);
+        let other = SlotRequest::Copy(&other);
+        assert_eq!(blocked_by(&mut mrt, 1, 0, &other), vec![NodeId(0)]);
     }
 
     #[test]
@@ -745,30 +606,24 @@ mod tests {
             .link_between(ClusterId(0), ClusterId(1))
             .unwrap();
         let mut mrt = TimeMrt::new(&m, 1);
-        let req = SlotRequest::Copy {
-            src: ClusterId(0),
-            targets: vec![ClusterId(1)],
-            link: Some(l),
-        };
-        assert!(mrt.try_place(NodeId(0), 0, &req).is_ok());
-        let back = SlotRequest::Copy {
-            src: ClusterId(1),
-            targets: vec![ClusterId(0)],
-            link: Some(l),
-        };
-        assert!(mrt.try_place(NodeId(1), 0, &back).is_err());
+        let meta = copy(0, &[1], Some(l));
+        let req = SlotRequest::Copy(&meta);
+        assert_eq!(mrt.try_place(NodeId(0), 0, &req), PlaceOutcome::Placed);
+        let back = copy(1, &[0], Some(l));
+        let back = SlotRequest::Copy(&back);
+        assert_eq!(blocked_by(&mut mrt, 1, 0, &back), vec![NodeId(0)]);
     }
 
     #[test]
     fn eviction_returns_and_frees() {
         let m = presets::unified_gp(1);
         let mut mrt = TimeMrt::new(&m, 1);
-        mrt.try_place(NodeId(0), 0, &fu(0, OpKind::IntAlu)).unwrap();
+        let alu = fu(0, OpKind::IntAlu);
+        assert_eq!(mrt.try_place(NodeId(0), 0, &alu), PlaceOutcome::Placed);
         let mut evicted = Vec::new();
         mrt.place_evicting_into(NodeId(1), 0, &fu(0, OpKind::Load), &mut evicted);
         assert_eq!(evicted, vec![NodeId(0)]);
-        assert_eq!(mrt.row_of(NodeId(0)), None);
-        assert_eq!(mrt.row_of(NodeId(1)), Some(0));
+        assert_eq!(holders_of(&mrt, 0), vec![NodeId(1)]);
     }
 
     #[test]
@@ -778,36 +633,53 @@ mod tests {
         // and is blocked by `x` alone, which eviction can clear.
         let m = presets::two_cluster_gp(2, 2);
         let mut mrt = TimeMrt::new(&m, 1);
-        let once = SlotRequest::Copy {
-            src: ClusterId(0),
-            targets: vec![ClusterId(1)],
-            link: None,
-        };
+        let once = copy(0, &[1], None);
+        let once = SlotRequest::Copy(&once);
         let (z, x, twice_node) = (NodeId(0), NodeId(1), NodeId(2));
-        mrt.try_place(z, 0, &once).unwrap();
-        mrt.try_place(x, 0, &once).unwrap();
-        mrt.remove(z);
-        let twice = SlotRequest::Copy {
-            src: ClusterId(0),
-            targets: vec![ClusterId(1), ClusterId(1)],
-            link: None,
-        };
-        assert_eq!(
-            mrt.try_place_quiet(twice_node, 0, &twice),
-            PlaceOutcome::Blocked
-        );
-        assert_eq!(mrt.last_blockers(), &[x]);
+        assert_eq!(mrt.try_place(z, 0, &once), PlaceOutcome::Placed);
+        assert_eq!(mrt.try_place(x, 0, &once), PlaceOutcome::Placed);
+        mrt.remove(z, 0);
+        let twice = copy(0, &[1, 1], None);
+        let twice = SlotRequest::Copy(&twice);
+        assert_eq!(blocked_by(&mut mrt, twice_node.0, 0, &twice), vec![x]);
         let mut evicted = Vec::new();
         mrt.place_evicting_into(twice_node, 0, &twice, &mut evicted);
         assert_eq!(evicted, vec![x]);
-        assert_eq!(mrt.row_of(twice_node), Some(0));
-        // With one write port the same request can never fit.
+        assert_eq!(holders_of(&mrt, 0), vec![twice_node]);
+        // With one write port the same request can never fit, whether
+        // that port is free or held.
         let m = presets::two_cluster_gp(2, 1);
         let mut mrt = TimeMrt::new(&m, 1);
         assert_eq!(
-            mrt.try_place_quiet(twice_node, 0, &twice),
+            mrt.try_place(twice_node, 0, &twice),
             PlaceOutcome::Impossible
         );
+        assert_eq!(mrt.try_place(x, 0, &once), PlaceOutcome::Placed);
+        assert_eq!(
+            mrt.try_place(twice_node, 0, &twice),
+            PlaceOutcome::Impossible
+        );
+    }
+
+    #[test]
+    fn a_request_needing_two_held_ports_names_both_holders() {
+        // Both write ports of cluster 1 are held; a copy naming cluster 1
+        // twice must evict both holders, so both are named at once.
+        let m = presets::two_cluster_gp(2, 2);
+        let mut mrt = TimeMrt::new(&m, 1);
+        let once = copy(0, &[1], None);
+        let once = SlotRequest::Copy(&once);
+        assert_eq!(mrt.try_place(NodeId(0), 0, &once), PlaceOutcome::Placed);
+        assert_eq!(mrt.try_place(NodeId(1), 0, &once), PlaceOutcome::Placed);
+        let twice = copy(0, &[1, 1], None);
+        let twice = SlotRequest::Copy(&twice);
+        assert_eq!(
+            blocked_by(&mut mrt, 2, 0, &twice),
+            vec![NodeId(0), NodeId(1)]
+        );
+        let mut evicted = Vec::new();
+        mrt.place_evicting_into(NodeId(2), 0, &twice, &mut evicted);
+        assert_eq!(evicted, vec![NodeId(0), NodeId(1)]);
     }
 
     #[test]
@@ -815,26 +687,29 @@ mod tests {
     fn impossible_request_panics_on_eviction() {
         let m = presets::unified_gp(1); // no interconnect
         let mut mrt = TimeMrt::new(&m, 1);
-        let req = SlotRequest::Copy {
-            src: ClusterId(0),
-            targets: vec![ClusterId(0)],
-            link: None,
-        };
-        mrt.place_evicting_into(NodeId(0), 0, &req, &mut Vec::new());
+        let meta = copy(0, &[0], None);
+        mrt.place_evicting_into(NodeId(0), 0, &SlotRequest::Copy(&meta), &mut Vec::new());
     }
 
     #[test]
-    fn remove_and_clear() {
+    fn remove_frees_only_the_named_node_in_the_named_row() {
         let m = presets::two_cluster_gp(2, 1);
         let mut mrt = TimeMrt::new(&m, 2);
-        mrt.try_place(NodeId(0), 1, &fu(0, OpKind::Load)).unwrap();
-        assert_eq!(mrt.placed_count(), 1);
-        mrt.remove(NodeId(0));
-        assert_eq!(mrt.placed_count(), 0);
-        mrt.try_place(NodeId(0), 1, &fu(0, OpKind::Load)).unwrap();
-        mrt.clear();
-        assert_eq!(mrt.placed_count(), 0);
-        assert!(mrt.try_place(NodeId(1), 1, &fu(0, OpKind::Load)).is_ok());
+        let load = fu(0, OpKind::Load);
+        assert_eq!(mrt.try_place(NodeId(0), 1, &load), PlaceOutcome::Placed);
+        assert_eq!(mrt.try_place(NodeId(1), 1, &load), PlaceOutcome::Placed);
+        // Naming the wrong row frees nothing.
+        mrt.remove(NodeId(0), 0);
+        assert_eq!(holders_of(&mrt, 1), vec![NodeId(0), NodeId(1)]);
+        mrt.remove(NodeId(0), 1);
+        assert_eq!(holders_of(&mrt, 1), vec![NodeId(1)]);
+        // A copy's read port, write port and bus all come free at once.
+        let meta = copy(0, &[1], None);
+        let req = SlotRequest::Copy(&meta);
+        assert_eq!(mrt.try_place(NodeId(2), 1, &req), PlaceOutcome::Placed);
+        mrt.remove(NodeId(2), 1);
+        assert_eq!(holders_of(&mrt, 1), vec![NodeId(1)]);
+        assert_eq!(mrt.try_place(NodeId(0), 1, &load), PlaceOutcome::Placed);
     }
 
     #[test]
@@ -849,18 +724,18 @@ mod tests {
     fn reset_drops_placements_and_changes_ii() {
         let m = presets::unified_gp(2);
         let mut mrt = TimeMrt::new(&m, 2);
-        mrt.try_place(NodeId(0), 1, &fu(0, OpKind::IntAlu)).unwrap();
-        mrt.try_place(NodeId(1), 0, &fu(0, OpKind::IntAlu)).unwrap();
+        let req = fu(0, OpKind::IntAlu);
+        assert_eq!(mrt.try_place(NodeId(0), 1, &req), PlaceOutcome::Placed);
+        assert_eq!(mrt.try_place(NodeId(1), 0, &req), PlaceOutcome::Placed);
         mrt.reset(4);
         assert_eq!(mrt.ii(), 4);
-        assert_eq!(mrt.placed_count(), 0);
-        assert_eq!(mrt.row_of(NodeId(0)), None);
+        assert!((0..4).all(|r| holders_of(&mrt, r).is_empty()));
         // Fresh rows usable, including rows beyond the old II.
-        assert!(mrt.try_place(NodeId(0), 3, &fu(0, OpKind::IntAlu)).is_ok());
+        assert_eq!(mrt.try_place(NodeId(0), 3, &req), PlaceOutcome::Placed);
         // Shrinking back also works without reallocation.
         mrt.reset(1);
-        assert_eq!(mrt.placed_count(), 0);
-        assert!(mrt.try_place(NodeId(5), 0, &fu(0, OpKind::IntAlu)).is_ok());
+        assert!(holders_of(&mrt, 0).is_empty());
+        assert_eq!(mrt.try_place(NodeId(5), 0, &req), PlaceOutcome::Placed);
     }
 
     #[test]
@@ -868,38 +743,30 @@ mod tests {
         // Simulates the II sweep: many resets, placements stay coherent.
         let m = presets::unified_gp(1);
         let mut mrt = TimeMrt::new(&m, 1);
+        let req = fu(0, OpKind::IntAlu);
         for ii in 1..=16u32 {
             mrt.reset(ii);
             for r in 0..ii {
-                assert!(mrt.try_place(NodeId(r), r, &fu(0, OpKind::IntAlu)).is_ok());
+                assert_eq!(mrt.try_place(NodeId(r), r, &req), PlaceOutcome::Placed);
             }
-            assert_eq!(mrt.placed_count(), ii as usize);
-            assert!(mrt
-                .try_place(NodeId(99), ii - 1, &fu(0, OpKind::IntAlu))
-                .is_err());
+            assert!((0..ii).all(|r| holders_of(&mrt, r) == vec![NodeId(r)]));
+            assert_eq!(blocked_by(&mut mrt, 99, ii - 1, &req), vec![NodeId(ii - 1)]);
         }
     }
 
     #[test]
-    fn quiet_probe_reports_outcomes_and_blockers() {
+    fn probe_reports_outcomes_and_blockers() {
         let m = presets::unified_gp(1);
         let mut mrt = TimeMrt::new(&m, 1);
         assert_eq!(
-            mrt.try_place_quiet(NodeId(0), 0, &fu(0, OpKind::IntAlu)),
+            mrt.try_place(NodeId(0), 0, &fu(0, OpKind::IntAlu)),
             PlaceOutcome::Placed
         );
+        let load = fu(0, OpKind::Load);
+        assert_eq!(blocked_by(&mut mrt, 1, 0, &load), vec![NodeId(0)]);
+        let meta = copy(0, &[0], None);
         assert_eq!(
-            mrt.try_place_quiet(NodeId(1), 0, &fu(0, OpKind::Load)),
-            PlaceOutcome::Blocked
-        );
-        assert_eq!(mrt.last_blockers(), &[NodeId(0)]);
-        let req = SlotRequest::Copy {
-            src: ClusterId(0),
-            targets: vec![ClusterId(0)],
-            link: None,
-        };
-        assert_eq!(
-            mrt.try_place_quiet(NodeId(1), 0, &req),
+            mrt.try_place(NodeId(1), 0, &SlotRequest::Copy(&meta)),
             PlaceOutcome::Impossible
         );
     }
@@ -914,23 +781,22 @@ mod tests {
         let m = presets::n_cluster_gp(8, 8, 4);
         let mut mrt = TimeMrt::new(&m, 1);
         for i in 0..4u32 {
-            assert!(mrt.try_place(NodeId(i), 0, &fu(7, OpKind::IntAlu)).is_ok());
+            let req = fu(7, OpKind::IntAlu);
+            assert_eq!(mrt.try_place(NodeId(i), 0, &req), PlaceOutcome::Placed);
         }
-        let e = mrt
-            .try_place(NodeId(9), 0, &fu(7, OpKind::Load))
-            .unwrap_err();
-        assert_eq!(e.blockers, vec![NodeId(0)]);
+        let load = fu(7, OpKind::Load);
+        assert_eq!(blocked_by(&mut mrt, 9, 0, &load), vec![NodeId(0)]);
         // Copies from the last cluster claim ports deep in the row.
-        let req = SlotRequest::Copy {
-            src: ClusterId(7),
-            targets: vec![ClusterId(6)],
-            link: None,
-        };
+        let meta = copy(7, &[6], None);
+        let req = SlotRequest::Copy(&meta);
         for i in 10..14u32 {
-            assert!(mrt.try_place(NodeId(i), 0, &req).is_ok());
+            assert_eq!(mrt.try_place(NodeId(i), 0, &req), PlaceOutcome::Placed);
         }
         // 4 read ports on cluster 7 exhausted.
-        assert!(mrt.try_place(NodeId(20), 0, &req).is_err());
+        assert_eq!(blocked_by(&mut mrt, 20, 0, &req), vec![NodeId(10)]);
+        // Removing a copy whose columns sit in the second word frees them.
+        mrt.remove(NodeId(12), 0);
+        assert_eq!(mrt.try_place(NodeId(20), 0, &req), PlaceOutcome::Placed);
     }
 
     #[test]
@@ -939,17 +805,19 @@ mod tests {
         // past it: the stale row must probe as empty again.
         let m = presets::unified_gp(1);
         let mut mrt = TimeMrt::new(&m, 4);
-        mrt.try_place(NodeId(0), 3, &fu(0, OpKind::IntAlu)).unwrap();
+        let req = fu(0, OpKind::IntAlu);
+        assert_eq!(mrt.try_place(NodeId(0), 3, &req), PlaceOutcome::Placed);
         mrt.reset(2); // row 3 out of range, bits left stale
         mrt.reset(4); // back in range: must have been re-zeroed
-        assert!(mrt.try_place(NodeId(1), 3, &fu(0, OpKind::IntAlu)).is_ok());
+        assert_eq!(mrt.try_place(NodeId(1), 3, &req), PlaceOutcome::Placed);
     }
 
     #[test]
     fn place_evicting_into_appends() {
         let m = presets::unified_gp(1);
         let mut mrt = TimeMrt::new(&m, 1);
-        mrt.try_place(NodeId(0), 0, &fu(0, OpKind::IntAlu)).unwrap();
+        let alu = fu(0, OpKind::IntAlu);
+        assert_eq!(mrt.try_place(NodeId(0), 0, &alu), PlaceOutcome::Placed);
         let mut out = vec![NodeId(7)];
         mrt.place_evicting_into(NodeId(1), 0, &fu(0, OpKind::Load), &mut out);
         assert_eq!(out, vec![NodeId(7), NodeId(0)]);

@@ -9,7 +9,7 @@
 
 use clasp_ddg::{NodeId, OpKind};
 use clasp_machine::{presets, ClusterId};
-use clasp_mrt::{CountMrt, PlaceOutcome, SlotRequest, TimeMrt};
+use clasp_mrt::{CopyMeta, CountMrt, PlaceOutcome, SlotRequest, TimeMrt};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -54,18 +54,19 @@ fn warmed_mrt_reset_and_probe_paths_do_not_allocate() {
         cluster: ClusterId(c),
         kind: OpKind::IntAlu,
     };
-    let copy = SlotRequest::Copy {
+    let meta = CopyMeta {
         src: ClusterId(0),
         targets: vec![ClusterId(1)],
         link: None,
     };
+    let copy = SlotRequest::Copy(&meta);
     let mut evicted = Vec::with_capacity(NODES as usize);
     let sweep = |mrt: &mut TimeMrt, evicted: &mut Vec<NodeId>| {
         for ii in 1..=MAX_II {
             mrt.reset(ii);
             for n in 0..NODES {
                 let row = n % ii;
-                match mrt.try_place_quiet(NodeId(n), row, &fu(n % 4)) {
+                match mrt.try_place(NodeId(n), row, &fu(n % 4)) {
                     PlaceOutcome::Placed => {}
                     _ => {
                         evicted.clear();
@@ -73,10 +74,9 @@ fn warmed_mrt_reset_and_probe_paths_do_not_allocate() {
                     }
                 }
             }
-            let _ = mrt.try_place_quiet(NodeId(NODES), 0, &copy);
-            mrt.remove(NodeId(NODES));
-            mrt.remove(NodeId(0));
-            mrt.clear();
+            let _ = mrt.try_place(NodeId(NODES), 0, &copy);
+            mrt.remove(NodeId(NODES), 0);
+            mrt.remove(NodeId(0), 0);
         }
     };
     sweep(&mut mrt, &mut evicted); // warm every buffer at every II

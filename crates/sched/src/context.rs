@@ -6,11 +6,16 @@
 //! The seed scheduler rebuilt the swing order, the priority array, the
 //! resource-request table, the reservation table, and four per-node
 //! scratch vectors on *every* II attempt. [`SchedContext`] hoists all of
-//! that out of the sweep: one [`LoopAnalysis`], one [`SlotRequest`] table,
-//! one epoch-counted [`TimeMrt`] whose `reset` is O(1), and scratch
-//! buffers that are cleared (not reallocated) between attempts. A warmed
-//! context performs no heap allocation during an II attempt until the
-//! final successful attempt materializes its [`Schedule`].
+//! that out of the sweep: one [`LoopAnalysis`], one [`SlotRequest`] table
+//! (a copy's request borrows its metadata from the [`ClusterMap`]), one
+//! [`TimeMrt`] whose `reset` zeroes a few occupancy words per row, and
+//! scratch buffers that are cleared (not reallocated) between attempts. A
+//! warmed context performs no heap allocation during an II attempt until
+//! the final successful attempt materializes its [`Schedule`].
+//!
+//! The context's `time` vector is the one record of where each node sits:
+//! the table holds occupancy only, so an eviction or a displacement frees
+//! a node's resources by naming the row its cycle maps to.
 //!
 //! Both phase-2 schedulers run one loop, `SchedContext::attempt_as`:
 //! Rau's iterative scheduler and the iterative swing scheduler differ
@@ -29,11 +34,7 @@ use crate::swing::SchedulerKind;
 use clasp_ddg::{Ddg, LoopAnalysis, NodeId};
 use clasp_machine::MachineSpec;
 use clasp_mrt::{ClusterMap, PlaceOutcome, SlotRequest, TimeMrt};
-
-enum AnalysisRef<'a> {
-    Owned(LoopAnalysis),
-    Borrowed(&'a LoopAnalysis),
-}
+use std::borrow::Cow;
 
 /// Amortized state for scheduling one annotated graph on one machine at
 /// many candidate IIs.
@@ -59,16 +60,17 @@ pub struct SchedContext<'a> {
     g: &'a Ddg,
     machine: &'a MachineSpec,
     map: &'a ClusterMap,
-    analysis: AnalysisRef<'a>,
+    analysis: Cow<'a, LoopAnalysis>,
     /// Resource request per node (indexed by `NodeId::index`).
-    requests: Vec<SlotRequest>,
+    requests: Vec<SlotRequest<'a>>,
     /// [`AttemptStats::conflicts`] lane per node (indexed by
     /// `NodeId::index`), precomputed so the hot loop only indexes.
     conflict_lane: Vec<u8>,
     mrt: TimeMrt,
+    /// Issue cycle of each scheduled node: the one record of placements.
     time: Vec<Option<i64>>,
-    prev_time: Vec<i64>,
-    ever_scheduled: Vec<bool>,
+    /// The cycle each node was last placed at in this attempt, if any.
+    prev_time: Vec<Option<i64>>,
     evicted: Vec<NodeId>,
     stats: AttemptStats,
 }
@@ -86,7 +88,7 @@ impl<'a> SchedContext<'a> {
         map: &'a ClusterMap,
     ) -> Result<Self, ScheduleError> {
         let analysis = LoopAnalysis::compute(g);
-        Self::build(g, machine, map, AnalysisRef::Owned(analysis))
+        Self::build(g, machine, map, Cow::Owned(analysis))
     }
 
     /// Build a context around an analysis the caller already computed for
@@ -103,14 +105,14 @@ impl<'a> SchedContext<'a> {
         analysis: &'a LoopAnalysis,
     ) -> Result<Self, ScheduleError> {
         debug_assert_eq!(analysis.node_count(), g.node_count());
-        Self::build(g, machine, map, AnalysisRef::Borrowed(analysis))
+        Self::build(g, machine, map, Cow::Borrowed(analysis))
     }
 
     fn build(
         g: &'a Ddg,
         machine: &'a MachineSpec,
         map: &'a ClusterMap,
-        analysis: AnalysisRef<'a>,
+        analysis: Cow<'a, LoopAnalysis>,
     ) -> Result<Self, ScheduleError> {
         let n = g.node_count();
         let mut requests = Vec::with_capacity(n);
@@ -128,8 +130,7 @@ impl<'a> SchedContext<'a> {
             conflict_lane,
             mrt: TimeMrt::new(machine, 1),
             time: vec![None; n],
-            prev_time: vec![0; n],
-            ever_scheduled: vec![false; n],
+            prev_time: vec![None; n],
             evicted: Vec::new(),
             stats: AttemptStats::default(),
         })
@@ -137,10 +138,7 @@ impl<'a> SchedContext<'a> {
 
     /// The analysis driving the priority order.
     pub fn analysis(&self) -> &LoopAnalysis {
-        match &self.analysis {
-            AnalysisRef::Owned(a) => a,
-            AnalysisRef::Borrowed(a) => a,
-        }
+        &self.analysis
     }
 
     /// The machine this context schedules for.
@@ -193,25 +191,19 @@ impl<'a> SchedContext<'a> {
         ii: u32,
         config: SchedulerConfig,
     ) -> Result<Schedule, SchedFailure> {
-        let analysis: &LoopAnalysis = match &self.analysis {
-            AnalysisRef::Owned(a) => a,
-            AnalysisRef::Borrowed(a) => a,
-        };
+        let analysis: &LoopAnalysis = &self.analysis;
         self.stats.attempts += 1;
         let n = self.requests.len();
         if n == 0 {
             return Ok(Schedule::new(ii, std::iter::empty()));
         }
 
-        // Reset all per-attempt state; no allocation, the MRT reset is
-        // O(1) via its epoch counter.
+        // Reset all per-attempt state; no allocation.
         self.mrt.reset(ii);
         self.time.fill(None);
-        self.prev_time.fill(0);
-        self.ever_scheduled.fill(false);
+        self.prev_time.fill(None);
         let time = &mut self.time;
         let prev_time = &mut self.prev_time;
-        let ever_scheduled = &mut self.ever_scheduled;
         let mrt = &mut self.mrt;
         let evicted = &mut self.evicted;
         let requests = &self.requests;
@@ -222,6 +214,7 @@ impl<'a> SchedContext<'a> {
         let mut unscheduled = n;
         let mut budget = u64::from(config.budget_factor) * n as u64;
         let ii_i = i64::from(ii);
+        let row_of = |t: i64| t.rem_euclid(ii_i) as u32;
         // The ready cursor: every order position below it is scheduled, so
         // the highest-priority unscheduled node is found by advancing past
         // scheduled entries instead of rescanning the whole order. Evicted
@@ -287,8 +280,7 @@ impl<'a> SchedContext<'a> {
             let mut chosen: Option<i64> = None;
             for k in 0..slots {
                 let t = first + step * k;
-                let row = t.rem_euclid(ii_i) as u32;
-                match mrt.try_place_quiet(node, row, &requests[vi]) {
+                match mrt.try_place(node, row_of(t), &requests[vi]) {
                     PlaceOutcome::Placed => {
                         chosen = Some(t);
                         break;
@@ -310,14 +302,9 @@ impl<'a> SchedContext<'a> {
                     // later attempts strictly after the previous slot to
                     // guarantee forward progress.
                     stats.window_rejections += 1;
-                    let slot = if ever_scheduled[vi] {
-                        floor.max(prev_time[vi] + 1)
-                    } else {
-                        floor
-                    };
-                    let row = slot.rem_euclid(ii_i) as u32;
+                    let slot = prev_time[vi].map_or(floor, |prev| floor.max(prev + 1));
                     evicted.clear();
-                    mrt.place_evicting_into(node, row, &requests[vi], evicted);
+                    mrt.place_evicting_into(node, row_of(slot), &requests[vi], evicted);
                     for &ev in evicted.iter() {
                         if time[ev.index()].take().is_some() {
                             unscheduled += 1;
@@ -330,8 +317,7 @@ impl<'a> SchedContext<'a> {
             };
 
             time[vi] = Some(t);
-            prev_time[vi] = t;
-            ever_scheduled[vi] = true;
+            prev_time[vi] = Some(t);
             unscheduled -= 1;
             stats.placements += 1;
 
@@ -345,7 +331,7 @@ impl<'a> SchedContext<'a> {
                 let di = e.other.index();
                 if let Some(td) = time[di] {
                     if td < t + i64::from(e.latency) - i64::from(e.distance) * ii_i {
-                        mrt.remove(e.other);
+                        mrt.remove(e.other, row_of(td));
                         time[di] = None;
                         unscheduled += 1;
                         stats.backtracks += 1;

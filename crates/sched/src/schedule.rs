@@ -2,7 +2,7 @@
 
 use clasp_ddg::{Ddg, NodeId, OpKind};
 use clasp_machine::{ClusterId, MachineSpec};
-use clasp_mrt::{ClusterMap, SlotRequest, TimeMrt};
+use clasp_mrt::{ClusterMap, PlaceOutcome, SlotRequest, TimeMrt};
 
 /// A complete modulo schedule: an issue cycle for every node of the
 /// working graph at a fixed initiation interval.
@@ -180,16 +180,16 @@ impl std::fmt::Display for ScheduleError {
 impl std::error::Error for ScheduleError {}
 
 /// The resource request a node makes, derived from its kind and cluster
-/// annotation.
-pub fn slot_request(g: &Ddg, map: &ClusterMap, n: NodeId) -> Result<SlotRequest, ScheduleError> {
+/// annotation; a copy's request borrows its metadata from `map`.
+pub fn slot_request<'m>(
+    g: &Ddg,
+    map: &'m ClusterMap,
+    n: NodeId,
+) -> Result<SlotRequest<'m>, ScheduleError> {
     let kind = g.op(n).kind;
     if kind.is_copy() {
         let meta = map.copy_meta(n).ok_or(ScheduleError::MissingCopyMeta(n))?;
-        Ok(SlotRequest::Copy {
-            src: meta.src,
-            targets: meta.targets.clone(),
-            link: meta.link,
-        })
+        Ok(SlotRequest::Copy(meta))
     } else {
         let cluster = map
             .cluster_of(n)
@@ -241,7 +241,7 @@ pub fn validate_schedule(
     for n in g.node_ids() {
         let req = slot_request(g, map, n)?;
         let row = sched.kernel_row(n).expect("checked above");
-        if mrt.try_place(n, row, &req).is_err() {
+        if mrt.try_place(n, row, &req) != PlaceOutcome::Placed {
             return Err(ScheduleError::ResourceOveruse {
                 node: n,
                 op: g.op(n).kind,

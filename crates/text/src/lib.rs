@@ -18,6 +18,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod limits;
 mod machine;
 mod parse;
 mod write;

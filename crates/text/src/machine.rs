@@ -35,7 +35,13 @@
 //! - `link <a> <b>` — a dedicated connection between clusters `a` and
 //!   `b` (0-based); implies a point-to-point fabric;
 //! - `ports <read> <write>` — port counts for a point-to-point fabric.
+//!
+//! A machine has at most [`MAX_CLUSTERS`] clusters of at most
+//! [`MAX_UNITS`] units each, at most [`MAX_BUSES`] buses or
+//! [`MAX_LINKS`] links, and at most [`MAX_PORTS`] read and as many write
+//! ports a cluster; a description over any limit is an error.
 
+use crate::limits::{MAX_BUSES, MAX_CLUSTERS, MAX_LINKS, MAX_PORTS, MAX_UNITS};
 use clasp_machine::{ClusterId, ClusterSpec, Interconnect, Link, MachineSpec};
 use std::fmt;
 
@@ -61,6 +67,30 @@ fn err(line: usize, message: impl Into<String>) -> MachineParseError {
         line,
         message: message.into(),
     }
+}
+
+/// `count` of `what` when within `limit`, else an error naming both.
+fn within<T: PartialOrd + fmt::Display>(
+    line: usize,
+    what: &str,
+    count: T,
+    limit: T,
+) -> Result<T, MachineParseError> {
+    if count > limit {
+        return Err(err(
+            line,
+            format!("{what} {count} exceeds the limit of {limit}"),
+        ));
+    }
+    Ok(count)
+}
+
+/// A port count token, at most [`MAX_PORTS`].
+fn ports(line: usize, token: Option<&str>, what: &str) -> Result<u32, MachineParseError> {
+    let count = token
+        .and_then(|t| t.parse().ok())
+        .ok_or_else(|| err(line, format!("ports needs a {what} count")))?;
+    within(line, &format!("{what} port count"), count, MAX_PORTS)
 }
 
 fn parse_unit(line: usize, token: &str, spec: &mut ClusterSpec) -> Result<(), MachineParseError> {
@@ -137,6 +167,8 @@ pub fn parse_machine(text: &str) -> Result<MachineSpec, MachineParseError> {
                 if !any || spec.issue_width() == 0 {
                     return Err(err(line_no, "cluster needs at least one unit"));
                 }
+                within(line_no, "unit count", spec.issue_width(), MAX_UNITS)?;
+                within(line_no, "cluster count", clusters.len() + 1, MAX_CLUSTERS)?;
                 clusters.push(spec);
             }
             "bus" => {
@@ -144,19 +176,14 @@ pub fn parse_machine(text: &str) -> Result<MachineSpec, MachineParseError> {
                     .next()
                     .and_then(|t| t.parse().ok())
                     .ok_or_else(|| err(line_no, "bus needs a count"))?;
+                let count = within(line_no, "bus count", count, MAX_BUSES)?;
                 let (mut r, mut w) = (1u32, 1u32);
                 if let Some(kw) = toks.next() {
                     if kw != "ports" {
                         return Err(err(line_no, "expected `ports <read> <write>`"));
                     }
-                    r = toks
-                        .next()
-                        .and_then(|t| t.parse().ok())
-                        .ok_or_else(|| err(line_no, "ports needs a read count"))?;
-                    w = toks
-                        .next()
-                        .and_then(|t| t.parse().ok())
-                        .ok_or_else(|| err(line_no, "ports needs a write count"))?;
+                    r = ports(line_no, toks.next(), "read")?;
+                    w = ports(line_no, toks.next(), "write")?;
                 }
                 buses = Some((count, r, w));
             }
@@ -172,17 +199,12 @@ pub fn parse_machine(text: &str) -> Result<MachineSpec, MachineParseError> {
                 if a == b {
                     return Err(err(line_no, "a link must join two distinct clusters"));
                 }
+                within(line_no, "link count", links.len() + 1, MAX_LINKS)?;
                 links.push((line_no, a, b));
             }
             "ports" => {
-                let r: u32 = toks
-                    .next()
-                    .and_then(|t| t.parse().ok())
-                    .ok_or_else(|| err(line_no, "ports needs a read count"))?;
-                let w: u32 = toks
-                    .next()
-                    .and_then(|t| t.parse().ok())
-                    .ok_or_else(|| err(line_no, "ports needs a write count"))?;
+                let r = ports(line_no, toks.next(), "read")?;
+                let w = ports(line_no, toks.next(), "write")?;
                 p2p_ports = Some((r, w));
             }
             other => return Err(err(line_no, format!("unknown statement `{other}`"))),
@@ -398,6 +420,47 @@ mod tests {
             assert_eq!(e.line, 2, "{units}");
             assert!(e.message.contains("overflows"), "{units}: {}", e.message);
         }
+        // Counts that would size the scheduler's table past any sensible
+        // machine are refused on their line, before anything is built.
+        let many_clusters = "cluster 1gp\n".repeat(MAX_CLUSTERS + 1);
+        let many_links = format!(
+            "cluster 1gp\ncluster 1gp\n{}",
+            "link 0 1\n".repeat(MAX_LINKS + 1)
+        );
+        for (text, line, what) in [
+            (
+                "cluster 4gp\nbus 4294967295 ports 4294967295 4294967295\n",
+                2,
+                "bus count",
+            ),
+            (
+                "cluster 4gp\nbus 2 ports 4294967295 1\n",
+                2,
+                "read port count",
+            ),
+            ("cluster 4gp\nbus 2 ports 1 17\n", 2, "write port count"),
+            (
+                "cluster 1gp\ncluster 1gp\nlink 0 1\nports 2 4294967295\n",
+                4,
+                "write port",
+            ),
+            ("cluster 4gp\ncluster 40gp 25m\n", 2, "unit count 65"),
+            (&many_clusters, MAX_CLUSTERS + 1, "cluster count"),
+            (&many_links, MAX_LINKS + 3, "link count"),
+        ] {
+            let e = parse_machine(text).unwrap_err();
+            assert_eq!(e.line, line, "{what}: {e}");
+            assert!(e.message.contains(what), "{what}: {e}");
+            assert!(e.message.contains("exceeds the limit"), "{what}: {e}");
+        }
+        let at_limits = format!(
+            "{}bus {MAX_BUSES} ports {MAX_PORTS} {MAX_PORTS}\n",
+            format!("cluster {MAX_UNITS}gp\n").repeat(MAX_CLUSTERS)
+        );
+        assert_eq!(
+            parse_machine(&at_limits).unwrap().cluster_count(),
+            MAX_CLUSTERS
+        );
     }
 
     #[test]

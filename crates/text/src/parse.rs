@@ -28,7 +28,12 @@
 //! - `dep <src> -> <dst> [@<distance>] [!<latency>]` — a dependence; the
 //!   default latency is the producer's result latency, the default
 //!   distance 0.
+//!
+//! A loop has at most [`MAX_NODES`] operations and [`MAX_EDGES`]
+//! dependences, each of latency at most [`MAX_LATENCY`] and distance at
+//! most [`MAX_DISTANCE`]; a description over any limit is an error.
 
+use crate::limits::{MAX_DISTANCE, MAX_EDGES, MAX_LATENCY, MAX_NODES};
 use clasp_ddg::{Ddg, DepEdge, NodeId, OpKind};
 use std::collections::HashMap;
 use std::fmt;
@@ -59,6 +64,15 @@ pub enum ParseErrorKind {
     BadNumber(String),
     /// The finished graph fails validation (zero-distance cycle).
     InvalidGraph(String),
+    /// A count or value exceeds its limit in [`crate::limits`].
+    OverLimit {
+        /// What was counted or read.
+        what: &'static str,
+        /// The offending count or value.
+        value: u64,
+        /// The limit it exceeds.
+        limit: u64,
+    },
 }
 
 impl fmt::Display for ParseError {
@@ -72,11 +86,26 @@ impl fmt::Display for ParseError {
             ParseErrorKind::UnknownOp(s) => write!(f, "undeclared operation `{s}`"),
             ParseErrorKind::BadNumber(s) => write!(f, "invalid number `{s}`"),
             ParseErrorKind::InvalidGraph(s) => write!(f, "invalid graph: {s}"),
+            ParseErrorKind::OverLimit { what, value, limit } => {
+                write!(f, "{what} {value} exceeds the limit of {limit}")
+            }
         }
     }
 }
 
 impl std::error::Error for ParseError {}
+
+/// An [`ParseErrorKind::OverLimit`] error on `line` when `value` of
+/// `what` exceeds `limit`.
+fn within(line: usize, what: &'static str, value: u64, limit: u64) -> Result<(), ParseError> {
+    if value > limit {
+        return Err(ParseError {
+            line,
+            kind: ParseErrorKind::OverLimit { what, value, limit },
+        });
+    }
+    Ok(())
+}
 
 /// The kind `token` names: a canonical [`OpKind::token`] or one of the
 /// input-only aliases.
@@ -169,6 +198,8 @@ pub fn parse_loop(text: &str) -> Result<Ddg, ParseError> {
                         kind: ParseErrorKind::DuplicateOp(id),
                     });
                 }
+                let count = pending_ops.len() as u64 + 1;
+                within(line_no, "operation count", count, MAX_NODES as u64)?;
                 pending_ops.push((line_no, id, kind, label));
             }
             "dep" => {
@@ -205,11 +236,14 @@ pub fn parse_loop(text: &str) -> Result<Ddg, ParseError> {
                             line: line_no,
                             kind: ParseErrorKind::BadNumber(extra.to_string()),
                         })?;
+                        within(line_no, "distance", distance.into(), MAX_DISTANCE.into())?;
                     } else if let Some(l) = extra.strip_prefix('!') {
-                        latency = Some(l.parse().map_err(|_| ParseError {
+                        let l: u32 = l.parse().map_err(|_| ParseError {
                             line: line_no,
                             kind: ParseErrorKind::BadNumber(extra.to_string()),
-                        })?);
+                        })?;
+                        within(line_no, "latency", l.into(), MAX_LATENCY.into())?;
+                        latency = Some(l);
                     } else {
                         return Err(ParseError {
                             line: line_no,
@@ -217,6 +251,8 @@ pub fn parse_loop(text: &str) -> Result<Ddg, ParseError> {
                         });
                     }
                 }
+                let count = pending_deps.len() as u64 + 1;
+                within(line_no, "dependence count", count, MAX_EDGES as u64)?;
                 pending_deps.push((line_no, src, dst, distance, latency));
             }
             other => {
@@ -328,6 +364,34 @@ dep acc -> s
 
         let err = parse_loop("op a load\nop b st\ndep a b").unwrap_err();
         assert!(matches!(err.kind, ParseErrorKind::Malformed("dep")));
+
+        // Values and counts that would size the schedule or the emitted
+        // program past any sensible loop are refused on their line.
+        let many_ops: String = (0..=MAX_NODES).map(|i| format!("op n{i} alu\n")).collect();
+        let many_deps = format!(
+            "op a alu\nop b alu\n{}",
+            "dep a -> b\n".repeat(MAX_EDGES + 1)
+        );
+        for (text, line, what) in [
+            ("op a alu\ndep a -> a @1 !4000000000", 2, "latency"),
+            (
+                "op x load\nop y store\ndep x -> y @100000000",
+                3,
+                "distance",
+            ),
+            ("op a alu\ndep a -> a @65", 2, "distance"),
+            (&many_ops, MAX_NODES + 1, "operation count"),
+            (&many_deps, MAX_EDGES + 3, "dependence count"),
+        ] {
+            let err = parse_loop(text).unwrap_err();
+            assert_eq!(err.line, line, "{what}: {err}");
+            assert!(
+                matches!(err.kind, ParseErrorKind::OverLimit { what: w, .. } if w == what),
+                "{what}: {err}"
+            );
+        }
+        let at_limits = format!("op a alu\ndep a -> a @{MAX_DISTANCE} !{MAX_LATENCY}\n");
+        assert_eq!(parse_loop(&at_limits).unwrap().edge_count(), 1);
     }
 
     #[test]

@@ -76,8 +76,8 @@
 //!   --machine <preset>    2c-gp | 4c-gp | 6c-gp | 8c-gp | 2c-fs | 4c-fs |
 //!                         grid | unified (default: 2c-gp)
 //!   --machine-file <path> load a custom `.machine` description instead
-//!   --buses N             override bus count (bused presets)
-//!   --ports N             override read/write port count
+//!   --buses N             override bus count (bused presets, at most 64)
+//!   --ports N             override read/write port count (at most 16)
 //!   --variant <v>         simple | simple-iterative | heuristic |
 //!                         heuristic-iterative (default)
 //!   --scheduler <s>       iterative (default) | swing
@@ -86,7 +86,8 @@
 //!                         small loops; past its node/conflict budget
 //!                         it fails with a typed `Budget` reason
 //!   --model <m>           mve (default) | rotating register naming
-//!   --iterations N        iterations to emit/simulate (default 16)
+//!   --iterations N        iterations to emit/simulate (default 16, at
+//!                         most 4096)
 //!   --dot                 dump the working graph as Graphviz DOT
 //!   --kernel              print the kernel table
 //!   --explain             print the assignment decision log, the
@@ -104,12 +105,14 @@ use clasp::service::{CompileService, ServiceConfig, ServiceRequest};
 use clasp::strata::CLASSIC_PRESETS;
 use clasp::{
     unified_ii, BackendKind, CompileRequest, CompiledArtifact, PipelineConfig, RegisterModelKind,
+    MAX_ITERATIONS,
 };
 use clasp_core::Variant;
 use clasp_ddg::{find_sccs, rec_mii, swing_order, Ddg};
 use clasp_machine::{presets, MachineSpec};
 use clasp_obs::Obs;
 use clasp_sched::SchedulerKind;
+use clasp_text::limits::{MAX_BUSES, MAX_PORTS};
 use std::process::ExitCode;
 
 struct Options {
@@ -225,6 +228,23 @@ fn usage() -> ExitCode {
          corpus options: --seed --loops-per-stratum --out --check"
     );
     ExitCode::from(2)
+}
+
+/// An `--iterations` value: a trip count the driver accepts from outside.
+fn iterations_flag(value: Option<String>) -> Result<i64, String> {
+    value
+        .and_then(|v| v.parse().ok())
+        .filter(|n| (0..=MAX_ITERATIONS).contains(n))
+        .ok_or_else(|| format!("--iterations needs a number from 0 to {MAX_ITERATIONS}"))
+}
+
+/// A `--buses` or `--ports` override, at most `limit` (the same bound a
+/// `.machine` description meets).
+fn count_flag(flag: &str, value: Option<String>, limit: u32) -> Result<u32, String> {
+    value
+        .and_then(|v| v.parse().ok())
+        .filter(|&n| n <= limit)
+        .ok_or_else(|| format!("{flag} needs a number up to {limit}"))
 }
 
 fn build_machine(opts: &Options) -> Result<MachineSpec, String> {
@@ -424,12 +444,7 @@ fn fuzz(args: &[String]) -> Result<bool, String> {
                     .and_then(|v| v.parse().ok())
                     .ok_or("--cases needs a number")?;
             }
-            "--iterations" => {
-                config.iterations = take(&mut i)
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n: &i64| n >= 0)
-                    .ok_or("--iterations needs a non-negative number")?;
-            }
+            "--iterations" => config.iterations = iterations_flag(take(&mut i))?,
             "--fault" => {
                 config.fault = take(&mut i)
                     .and_then(|v| clasp_oracle::Fault::parse(&v))
@@ -1073,14 +1088,12 @@ fn main() -> ExitCode {
             "--machine-file" => take(&mut i)
                 .map(|v| opts.machine_file = Some(v))
                 .ok_or("--machine-file needs a path".into()),
-            "--buses" => take(&mut i)
-                .and_then(|v| v.parse().ok())
-                .map(|v| opts.buses = Some(v))
-                .ok_or("--buses needs a number".into()),
-            "--ports" => take(&mut i)
-                .and_then(|v| v.parse().ok())
-                .map(|v| opts.ports = Some(v))
-                .ok_or("--ports needs a number".into()),
+            "--buses" => {
+                count_flag("--buses", take(&mut i), MAX_BUSES).map(|v| opts.buses = Some(v))
+            }
+            "--ports" => {
+                count_flag("--ports", take(&mut i), MAX_PORTS).map(|v| opts.ports = Some(v))
+            }
             "--variant" => match take(&mut i) {
                 Some(v) => parse_variant(&v).map(|p| opts.variant = p),
                 None => Err("--variant needs a value".into()),
@@ -1097,11 +1110,7 @@ fn main() -> ExitCode {
                 .and_then(|v| RegisterModelKind::parse(&v))
                 .map(|k| opts.model = k)
                 .ok_or("--model is `mve` or `rotating`".into()),
-            "--iterations" => take(&mut i)
-                .and_then(|v| v.parse().ok())
-                .filter(|&n: &i64| n >= 0)
-                .map(|v| opts.iterations = v)
-                .ok_or("--iterations needs a non-negative number".into()),
+            "--iterations" => iterations_flag(take(&mut i)).map(|v| opts.iterations = v),
             "--dot" => {
                 opts.dot = true;
                 Ok(())

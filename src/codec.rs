@@ -33,6 +33,7 @@
 
 use crate::driver::{
     CompileReport, CompiledArtifact, IiStep, RegisterModelKind, RegisterStats, StageTimings,
+    MAX_ITERATIONS,
 };
 use crate::pipeline::PipelineError;
 use clasp_core::{AssignError, AssignFailure, AssignStats, Assignment};
@@ -41,6 +42,7 @@ use clasp_kernel::{emit_program_with, RegisterModel, SimError};
 use clasp_machine::{ClusterId, LinkId};
 use clasp_mrt::{ClusterMap, CopyMeta};
 use clasp_sched::{SchedFailure, Schedule, ScheduleError, SchedulerKind};
+use clasp_text::limits::{MAX_DISTANCE, MAX_LATENCY};
 use std::fmt;
 use std::fmt::Write as _;
 
@@ -656,7 +658,9 @@ pub fn encode(result: &Result<CompiledArtifact, PipelineError>, iterations: i64)
 /// it: every count must fit in what remains of the payload, every node id
 /// must name a node of the `graph` line, every node must have a cluster
 /// and a cycle, every copy its transport metadata, the iteration count
-/// must not be negative, and the report's II must be the schedule's.
+/// must lie in `0..=`[`MAX_ITERATIONS`], every edge's latency and
+/// distance within [`clasp_text::limits`], and the report's II must be
+/// the schedule's.
 ///
 /// # Errors
 ///
@@ -718,6 +722,11 @@ fn decode_artifact(lines: &mut Lines<'_>) -> Result<CompiledArtifact, CodecError
     if iterations < 0 {
         return err(format!("negative iteration count {iterations}"));
     }
+    if iterations > MAX_ITERATIONS {
+        return err(format!(
+            "iteration count {iterations} exceeds the limit of {MAX_ITERATIONS}"
+        ));
+    }
 
     // Working graph.
     let mut t = lines.next_tokens()?;
@@ -753,6 +762,14 @@ fn decode_artifact(lines: &mut Lines<'_>) -> Result<CompiledArtifact, CodecError
         t.done()?;
         if src.0 as usize >= node_count || dst.0 as usize >= node_count {
             return err("edge references unknown node");
+        }
+        for (what, value, limit) in [
+            ("latency", latency, MAX_LATENCY),
+            ("distance", distance, MAX_DISTANCE),
+        ] {
+            if value > limit {
+                return err(format!("edge {what} {value} exceeds the limit of {limit}"));
+            }
         }
         wg.add_edge(DepEdge {
             src,
@@ -1150,6 +1167,21 @@ mod tests {
                 "iterations",
                 set_token(&payload, "config", 3, "-1"),
                 "negative",
+            ),
+            (
+                "iterations-cap",
+                set_token(&payload, "config", 3, "100000000000"),
+                "iteration count 100000000000 exceeds",
+            ),
+            (
+                "e-latency",
+                set_token(&payload, "e", 3, "4000000000"),
+                "latency 4000000000 exceeds",
+            ),
+            (
+                "e-distance",
+                set_token(&payload, "e", 4, "100000000"),
+                "distance 100000000 exceeds",
             ),
             (
                 "report-ii",

@@ -117,6 +117,16 @@ impl fmt::Display for BackendKind {
     }
 }
 
+/// The largest trip count a [`CompileRequest`] may carry from outside the
+/// program: the daemon's request parser, every `clasp-cli --iterations`
+/// and the artifact codec refuse more. Emission holds one instance per
+/// working-graph node and iteration, so at the cap the largest shipped
+/// loop (161 operations, 187 nodes with copies on `4c-gp`) simulates in
+/// a 200 MB peak RSS (about 260 bytes an instance, measured on a
+/// two-vCPU VM), and a loop at [`clasp_text::limits::MAX_NODES`] in about
+/// 1.1 GB plus its copies.
+pub const MAX_ITERATIONS: i64 = 4096;
+
 /// What to compile and how. The driver's single input besides the loop
 /// and the machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -132,7 +142,8 @@ pub struct CompileRequest {
     /// Run the stage scheduler between modulo scheduling and register
     /// modelling. Off preserves the raw modulo schedule bit-for-bit.
     pub restage: bool,
-    /// Loop trip count for emission and verification.
+    /// Loop trip count for emission and verification (`0..=`
+    /// [`MAX_ITERATIONS`] when it comes from outside the program).
     pub iterations: i64,
     /// Verify the emitted kernel against sequential semantics; a
     /// divergence fails compilation with [`PipelineError::Verify`].

@@ -66,6 +66,7 @@ pub use codec::{CodecError, ARTIFACT_FORMAT};
 pub use driver::{
     compile_full, compile_full_observed, oracle_pipeline, BackendKind, CompileReport,
     CompileRequest, CompiledArtifact, IiStep, RegisterModelKind, RegisterStats, StageTimings,
+    MAX_ITERATIONS,
 };
 pub use pipeline::{
     compare_with_unified, compile_loop, compile_loop_post, unified_ii, CompiledLoop,

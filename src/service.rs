@@ -63,6 +63,7 @@
 use crate::codec;
 use crate::driver::{
     compile_full_observed, BackendKind, CompileRequest, CompiledArtifact, RegisterModelKind,
+    MAX_ITERATIONS,
 };
 use crate::pipeline::{compile_loop, unified_ii, PipelineConfig, PipelineError};
 use clasp_core::Ordering;
@@ -665,8 +666,12 @@ impl ServiceRequest {
                     request.iterations = next("iterations")?
                         .parse()
                         .ok()
-                        .filter(|&n: &i64| n >= 0)
-                        .ok_or_else(|| bad("iterations: bad count"))?;
+                        .filter(|n: &i64| (0..=MAX_ITERATIONS).contains(n))
+                        .ok_or_else(|| {
+                            bad(format!(
+                                "iterations: not a count from 0 to {MAX_ITERATIONS}"
+                            ))
+                        })?;
                 }
                 Some("verify") => {
                     request.verify = parse_flag(next("verify")?, "verify")?;
@@ -905,6 +910,25 @@ mod tests {
             .render()
             .replace("\niterations 16\n", "\niterations -1\n");
         assert!(negative_iterations.contains("\niterations -1\n"));
+        // Past the cap, emission alone would ask for terabytes.
+        let huge_iterations = ServiceRequest::new(LOOP, machine_text())
+            .render()
+            .replace("\niterations 16\n", "\niterations 100000000000\n");
+        assert!(huge_iterations.contains("\niterations 100000000000\n"));
+        // Texts over the description limits: accepted, each would size
+        // the scheduler's table or the emitted program at gigabytes.
+        let huge_bus = ServiceRequest::new(
+            LOOP,
+            "cluster 2gp\ncluster 2gp\nbus 4294967295 ports 4294967295 4294967295\n",
+        )
+        .render();
+        let huge_latency =
+            ServiceRequest::new("op a alu\ndep a -> a @1 !4000000000\n", machine_text()).render();
+        let huge_distance = ServiceRequest::new(
+            "op x load\nop y store\ndep x -> y @100000000\n",
+            machine_text(),
+        )
+        .render();
         for wire in [
             "",
             "nonsense",
@@ -913,6 +937,10 @@ mod tests {
             "clasp-serve/1 compile\n-- machine\nbroken !!\n-- loop\nloop x\n",
             "clasp-serve/1 compile\n-- machine\ncluster 2gp\n-- loop\nnot a loop\n",
             &negative_iterations,
+            &huge_iterations,
+            &huge_bus,
+            &huge_latency,
+            &huge_distance,
         ] {
             let reply = ServiceReply::parse(&service.respond(wire)).unwrap();
             assert!(reply.outcome.is_err(), "{wire:?} must be rejected");

@@ -136,16 +136,96 @@ fn bad_input_fails_cleanly() {
 fn negative_iteration_count_is_a_usage_error() {
     let fir4 = loops_dir().join("fir4.clasp");
     let fir4 = fir4.to_str().unwrap();
+    // A count past the cap would size the emitted program at
+    // terabytes: it is refused where it enters, like a negative one.
+    let huge = "100000000000";
     for args in [
         &["compile", fir4, "--iterations", "-1"][..],
         &["simulate", fir4, "--iterations", "-1"],
         &["fuzz", "--cases", "1", "--iterations", "-1"],
+        &["compile", fir4, "--machine", "2c-gp", "--iterations", huge],
+        &["simulate", fir4, "--iterations", huge],
+        &["fuzz", "--cases", "1", "--iterations", huge],
     ] {
         let out = cli().args(args).output().expect("binary runs");
         assert_eq!(out.status.code(), Some(2), "{args:?}");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains("--iterations"), "{args:?}: {stderr}");
     }
+}
+
+#[test]
+fn oversized_descriptions_are_refused_before_they_are_sized() {
+    // Accepted, each of these would ask the allocator for gigabytes to
+    // terabytes, and a failed allocation aborts the process; each must be
+    // a typed error on its line or flag: exit 1 for bad input, exit 2 for
+    // a bad flag.
+    let dir = std::env::temp_dir().join(format!("clasp-cli-oversized-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = |name: &str, text: &str| {
+        let path = dir.join(name);
+        std::fs::write(&path, text).unwrap();
+        path.to_str().unwrap().to_string()
+    };
+    let fir4 = loops_dir().join("fir4.clasp");
+    let fir4 = fir4.to_str().unwrap();
+    let machine = file(
+        "huge.machine",
+        "cluster 2gp\ncluster 2gp\nbus 4294967295 ports 4294967295 4294967295\n",
+    );
+    let latency = file("latency.clasp", "op a alu\ndep a -> a @1 !4000000000\n");
+    let distance = file(
+        "distance.clasp",
+        "op x load\nop y store\ndep x -> y @100000000\n",
+    );
+    let cases: [(&[&str], i32, &str); 5] = [
+        (
+            &["compile", fir4, "--machine-file", &machine],
+            1,
+            "line 3: bus count 4294967295 exceeds the limit of 64",
+        ),
+        (
+            &[
+                "compile",
+                fir4,
+                "--machine",
+                "4c-gp",
+                "--ports",
+                "4294967295",
+            ],
+            2,
+            "--ports needs a number up to 16",
+        ),
+        (
+            &[
+                "compile",
+                fir4,
+                "--machine",
+                "4c-gp",
+                "--buses",
+                "4294967295",
+            ],
+            2,
+            "--buses needs a number up to 64",
+        ),
+        (
+            &["compile", &latency, "--machine", "2c-gp"],
+            1,
+            "line 2: latency 4000000000 exceeds the limit of 64",
+        ),
+        (
+            &["compile", &distance, "--machine", "2c-gp"],
+            1,
+            "line 3: distance 100000000 exceeds the limit of 64",
+        ),
+    ];
+    for (args, code, message) in cases {
+        let out = cli().args(args).output().expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(code), "{args:?}: {stderr}");
+        assert!(stderr.contains(message), "{args:?}: {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -11,8 +11,8 @@ use clasp::oracle_pipeline;
 use clasp_core::validate_assignment;
 use clasp_ddg::{find_sccs, rec_mii, rec_mii_bruteforce, swing_order, Ddg, NodeId, OpKind};
 use clasp_loopgen::rng::Rng;
-use clasp_machine::{presets, ClusterId, MachineSpec};
-use clasp_mrt::CountMrt;
+use clasp_machine::{presets, ClusterId, LinkId, MachineSpec};
+use clasp_mrt::{CopyMeta, CountMrt, PlaceOutcome, SlotRequest, TimeMrt};
 use clasp_oracle::{check_case, OracleOptions};
 use clasp_sched::validate_schedule;
 
@@ -247,6 +247,129 @@ fn copy_reservations_roundtrip() {
             assert_eq!(mrt.free_read_slots(c), m.interconnect().read_ports() * ii);
             assert_eq!(mrt.free_write_slots(c), m.interconnect().write_ports() * ii);
         }
+    });
+}
+
+/// An owned `TimeMrt` request.
+enum Request {
+    Op(ClusterId, OpKind),
+    Copy(CopyMeta),
+}
+
+impl Request {
+    fn slot(&self) -> SlotRequest<'_> {
+        match self {
+            Request::Op(cluster, kind) => SlotRequest::Fu {
+                cluster: *cluster,
+                kind: *kind,
+            },
+            Request::Copy(meta) => SlotRequest::Copy(meta),
+        }
+    }
+}
+
+/// A random request for a `TimeMrt` on `m`: an op of a random kind on a
+/// random cluster, or a copy. A copy reads a random cluster and writes one
+/// or two random others over a bus, or crosses one link of a
+/// point-to-point fabric. On a machine without a fabric it stays a
+/// request no table can grant.
+fn random_request(rng: &mut Rng, m: &MachineSpec) -> Request {
+    let n = m.cluster_count();
+    if rng.chance(0.6) {
+        let kind = KINDS[rng.below(KINDS.len())];
+        return Request::Op(ClusterId(rng.below(n) as u32), kind);
+    }
+    let links = m.interconnect().links();
+    if !links.is_empty() {
+        let k = rng.below(links.len());
+        let (src, dst) = if rng.chance(0.5) {
+            (links[k].a, links[k].b)
+        } else {
+            (links[k].b, links[k].a)
+        };
+        return Request::Copy(CopyMeta {
+            src,
+            targets: vec![dst],
+            link: Some(LinkId(k as u32)),
+        });
+    }
+    let src = rng.below(n);
+    let targets = (0..rng.range_inclusive(1, 2))
+        .map(|_| ClusterId(((src + rng.range_inclusive(1, n.max(2) - 1)) % n) as u32))
+        .collect();
+    Request::Copy(CopyMeta {
+        src: ClusterId(src as u32),
+        targets,
+        link: None,
+    })
+}
+
+type Probe = (NodeId, u32, Request);
+
+/// How `mrt` answers each probe, asked of a clone so the table itself is
+/// untouched: the outcome, and when blocked, the nodes a forced placement
+/// evicts.
+fn answers(mrt: &TimeMrt, probes: &[Probe]) -> Vec<(PlaceOutcome, Vec<NodeId>)> {
+    probes
+        .iter()
+        .map(|(node, row, req)| {
+            let mut t = mrt.clone();
+            let outcome = t.try_place(*node, *row, &req.slot());
+            let mut evicted = Vec::new();
+            if outcome == PlaceOutcome::Blocked {
+                t.place_evicting_into(*node, *row, &req.slot(), &mut evicted);
+            }
+            (outcome, evicted)
+        })
+        .collect()
+}
+
+#[test]
+fn time_mrt_remove_restores_every_probe() {
+    // The table records no placement of its own: naming a node and its
+    // row to `remove` must undo exactly what placing it did.
+    for_cases(15, 96, |rng| {
+        let m = random_machine(rng);
+        let ii = rng.range_inclusive(1, 4) as u32;
+        let probes: Vec<Probe> = (0..8)
+            .map(|k| {
+                let row = rng.below(ii as usize) as u32;
+                (NodeId(1000 + k), row, random_request(rng, &m))
+            })
+            .collect();
+        let mut mrt = TimeMrt::new(&m, ii);
+        let mut placed = Vec::new();
+        for k in 0..rng.range_inclusive(1, 24) as u32 {
+            let req = random_request(rng, &m);
+            let row = rng.below(ii as usize) as u32;
+            let before = answers(&mrt, &probes);
+            if mrt.try_place(NodeId(k), row, &req.slot()) == PlaceOutcome::Placed {
+                placed.push((NodeId(k), row, before));
+            } else {
+                assert_eq!(
+                    answers(&mrt, &probes),
+                    before,
+                    "a refused probe left a trace"
+                );
+            }
+        }
+        for (node, row, before) in placed.iter().rev() {
+            mrt.remove(*node, *row);
+            assert_eq!(
+                answers(&mrt, &probes),
+                *before,
+                "removing {node} at row {row}"
+            );
+        }
+        // Refill, then reset to the same II: the table answers like new.
+        for (k, (_, row, req)) in probes.iter().enumerate() {
+            let _ = mrt.try_place(NodeId(k as u32), *row, &req.slot());
+        }
+        mrt.reset(ii);
+        assert_eq!(
+            answers(&mrt, &probes),
+            answers(&TimeMrt::new(&m, ii), &probes)
+        );
     });
 }
 
