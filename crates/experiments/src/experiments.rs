@@ -30,7 +30,7 @@ fn run_or_die(id: &str, corpus: &[Ddg], specs: &[SeriesSpec]) -> Vec<Series> {
     }
 }
 
-fn run_and_report(id: &str, title: &str, corpus: &[Ddg], specs: Vec<SeriesSpec>) -> Vec<Series> {
+fn run_and_report(id: &str, title: &str, corpus: &[Ddg], specs: Vec<SeriesSpec>) {
     let t0 = std::time::Instant::now();
     let series = run_or_die(id, corpus, &specs);
     print_series(title, &series);
@@ -43,7 +43,6 @@ fn run_and_report(id: &str, title: &str, corpus: &[Ddg], specs: Vec<SeriesSpec>)
     if let Err(e) = write_csv(id, &series) {
         eprintln!("warning: could not write results/{id}.csv: {e}");
     }
-    series
 }
 
 /// Table 1: loop statistics of the corpus.
@@ -75,7 +74,7 @@ pub fn table2() {
 
 /// Figure 12: the four heuristic variants on the 2-cluster GP machine
 /// (2 buses, 1 port).
-pub fn fig12(corpus: &[Ddg]) -> Vec<Series> {
+pub fn fig12(corpus: &[Ddg]) {
     let m = presets::two_cluster_gp(2, 1);
     let specs = Variant::ALL
         .iter()
@@ -91,7 +90,7 @@ pub fn fig12(corpus: &[Ddg]) -> Vec<Series> {
 
 /// Figure 13: the four variants on the 4-cluster GP machine (4 buses,
 /// 2 ports).
-pub fn fig13(corpus: &[Ddg]) -> Vec<Series> {
+pub fn fig13(corpus: &[Ddg]) {
     let m = presets::four_cluster_gp(4, 2);
     let specs = Variant::ALL
         .iter()
@@ -111,7 +110,7 @@ pub fn fig13(corpus: &[Ddg]) -> Vec<Series> {
 /// [`clasp::oracle::EXACT_ORACLE_NODE_CAP`] nodes). Deviation buckets
 /// are `heuristic II - exact II`: the x=0 column is the fraction of
 /// small loops each variant schedules provably optimally.
-pub fn gap(corpus: &[Ddg]) -> Vec<Series> {
+pub fn gap(corpus: &[Ddg]) {
     let cap = clasp::oracle::EXACT_ORACLE_NODE_CAP;
     let small: Vec<Ddg> = corpus
         .iter()
@@ -123,7 +122,6 @@ pub fn gap(corpus: &[Ddg]) -> Vec<Series> {
         small.len(),
         corpus.len()
     );
-    let mut all = Vec::new();
     for (id, title, m) in [
         (
             "gap12",
@@ -158,13 +156,11 @@ pub fn gap(corpus: &[Ddg]) -> Vec<Series> {
         if let Err(e) = write_csv(id, &series) {
             eprintln!("warning: could not write results/{id}.csv: {e}");
         }
-        all.extend(series);
     }
-    all
 }
 
 /// Figure 14: bus count sweep on the 2-cluster GP machine.
-pub fn fig14(corpus: &[Ddg]) -> Vec<Series> {
+pub fn fig14(corpus: &[Ddg]) {
     let specs = [1u32, 2, 4]
         .iter()
         .map(|&b| {
@@ -184,7 +180,7 @@ pub fn fig14(corpus: &[Ddg]) -> Vec<Series> {
 }
 
 /// Figure 15: port count sweep on the 2-cluster GP machine (2 buses).
-pub fn fig15(corpus: &[Ddg]) -> Vec<Series> {
+pub fn fig15(corpus: &[Ddg]) {
     let specs = [1u32, 2, 4]
         .iter()
         .map(|&p| {
@@ -204,7 +200,7 @@ pub fn fig15(corpus: &[Ddg]) -> Vec<Series> {
 }
 
 /// Figure 16: bus count sweep on the 4-cluster GP machine (2 ports).
-pub fn fig16(corpus: &[Ddg]) -> Vec<Series> {
+pub fn fig16(corpus: &[Ddg]) {
     let specs = [2u32, 4, 8]
         .iter()
         .map(|&b| (format!("{b} buses"), presets::four_cluster_gp(b, 2), full()))
@@ -218,7 +214,7 @@ pub fn fig16(corpus: &[Ddg]) -> Vec<Series> {
 }
 
 /// Figure 17: port count sweep on the 4-cluster GP machine (4 buses).
-pub fn fig17(corpus: &[Ddg]) -> Vec<Series> {
+pub fn fig17(corpus: &[Ddg]) {
     let specs = [1u32, 2, 4]
         .iter()
         .map(|&p| {
@@ -238,7 +234,7 @@ pub fn fig17(corpus: &[Ddg]) -> Vec<Series> {
 }
 
 /// Figure 18: bus count sweep on the 2-cluster FS machine.
-pub fn fig18(corpus: &[Ddg]) -> Vec<Series> {
+pub fn fig18(corpus: &[Ddg]) {
     let specs = [1u32, 2, 4]
         .iter()
         .map(|&b| {
@@ -258,7 +254,7 @@ pub fn fig18(corpus: &[Ddg]) -> Vec<Series> {
 }
 
 /// Figure 19: bus count sweep on the 4-cluster FS machine.
-pub fn fig19(corpus: &[Ddg]) -> Vec<Series> {
+pub fn fig19(corpus: &[Ddg]) {
     let specs = [2u32, 4, 8]
         .iter()
         .map(|&b| (format!("{b} buses"), presets::four_cluster_fs(b, 2), full()))
@@ -295,7 +291,7 @@ pub fn table3(corpus: &[Ddg]) {
 
 /// §6 grid result: the 4-cluster 2x2 point-to-point machine (paper: 92%
 /// at x=0, 98% within one cycle).
-pub fn grid(corpus: &[Ddg]) -> Vec<Series> {
+pub fn grid(corpus: &[Ddg]) {
     let specs = vec![(
         "4-cluster grid (p2p)".to_string(),
         presets::four_cluster_grid(2),

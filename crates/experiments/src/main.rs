@@ -22,6 +22,48 @@ mod runner;
 use clasp_ddg::Ddg;
 use clasp_loopgen::{generate_corpus, CorpusConfig};
 
+/// One experiment: it prints its table and writes its CSVs.
+type Run = fn(&[Ddg]);
+
+/// Every experiment `all` runs, in its order. `gap` and `quick` are
+/// named extras outside it.
+const EXPERIMENTS: [(&str, Run); 18] = [
+    ("table1", experiments::table1),
+    ("table2", |_| experiments::table2()),
+    ("fig12", experiments::fig12),
+    ("fig13", experiments::fig13),
+    ("fig14", experiments::fig14),
+    ("fig15", experiments::fig15),
+    ("fig16", experiments::fig16),
+    ("fig17", experiments::fig17),
+    ("fig18", experiments::fig18),
+    ("fig19", experiments::fig19),
+    ("table3", experiments::table3),
+    ("grid", experiments::grid),
+    ("ablate-order", experiments::ablate_order),
+    ("ablate-pcr", experiments::ablate_pcr),
+    ("ablate-budget", experiments::ablate_budget),
+    ("ablate-sched", experiments::ablate_sched),
+    ("registers", experiments::registers),
+    ("baseline-post", experiments::baseline_post),
+];
+
+/// The run an id names: one of [`EXPERIMENTS`], `all` of them, or a
+/// named extra — the optimality-gap tables, or a smoke-test subset of
+/// the headline experiments.
+fn experiment(id: &str) -> Option<Run> {
+    Some(match id {
+        "gap" => experiments::gap,
+        "quick" => |corpus| {
+            experiments::table1(corpus);
+            experiments::fig12(corpus);
+            experiments::grid(corpus);
+        },
+        "all" => |corpus| EXPERIMENTS.iter().for_each(|(_, run)| run(corpus)),
+        id => EXPERIMENTS.iter().find(|(name, _)| *name == id)?.1,
+    })
+}
+
 fn corpus(loops: Option<usize>, seed: Option<u64>) -> Vec<Ddg> {
     let mut cfg = CorpusConfig::default();
     if let Some(n) = loops {
@@ -35,32 +77,36 @@ fn corpus(loops: Option<usize>, seed: Option<u64>) -> Vec<Ddg> {
     generate_corpus(cfg)
 }
 
+/// The value after `flag`, as a number; anything else is a usage error.
+fn number<T: std::str::FromStr>(
+    args: &mut impl Iterator<Item = String>,
+    flag: &str,
+) -> Result<T, String> {
+    args.next()
+        .and_then(|v| v.parse().ok())
+        .ok_or_else(|| format!("{flag} takes a number"))
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut ids: Vec<String> = Vec::new();
-    let mut loops: Option<usize> = None;
-    let mut seed: Option<u64> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--loops" => {
-                i += 1;
-                loops = Some(args[i].parse().expect("--loops takes a number"));
-            }
-            "--seed" => {
-                i += 1;
-                seed = Some(args[i].parse().expect("--seed takes a number"));
-            }
-            "--threads" => {
-                i += 1;
-                runner::set_threads(args[i].parse().expect("--threads takes a number"));
-            }
-            other => ids.push(other.to_string()),
+    let mut args = std::env::args().skip(1);
+    let mut runs: Vec<Run> = Vec::new();
+    let (mut loops, mut seed) = (None, None);
+    while let Some(arg) = args.next() {
+        let read = match arg.as_str() {
+            "--loops" => number(&mut args, &arg).map(|n| loops = Some(n)),
+            "--seed" => number(&mut args, &arg).map(|s| seed = Some(s)),
+            "--threads" => number(&mut args, &arg).map(runner::set_threads),
+            id => experiment(id)
+                .map(|run| runs.push(run))
+                .ok_or_else(|| format!("unknown experiment id: {id}")),
+        };
+        if let Err(e) = read {
+            eprintln!("error: {e}");
+            std::process::exit(2);
         }
-        i += 1;
     }
-    if ids.is_empty() {
-        ids.push("all".to_string());
+    if runs.is_empty() {
+        runs.push(experiment("all").expect("`all` is an id"));
     }
 
     let t0 = std::time::Instant::now();
@@ -70,79 +116,8 @@ fn main() {
         corpus.len(),
         t0.elapsed()
     );
-
-    for id in &ids {
-        match id.as_str() {
-            "table1" => experiments::table1(&corpus),
-            "table2" => experiments::table2(),
-            "fig12" => {
-                experiments::fig12(&corpus);
-            }
-            "fig13" => {
-                experiments::fig13(&corpus);
-            }
-            "fig14" => {
-                experiments::fig14(&corpus);
-            }
-            "fig15" => {
-                experiments::fig15(&corpus);
-            }
-            "fig16" => {
-                experiments::fig16(&corpus);
-            }
-            "fig17" => {
-                experiments::fig17(&corpus);
-            }
-            "fig18" => {
-                experiments::fig18(&corpus);
-            }
-            "fig19" => {
-                experiments::fig19(&corpus);
-            }
-            "gap" => {
-                experiments::gap(&corpus);
-            }
-            "table3" => experiments::table3(&corpus),
-            "grid" => {
-                experiments::grid(&corpus);
-            }
-            "ablate-order" => experiments::ablate_order(&corpus),
-            "ablate-pcr" => experiments::ablate_pcr(&corpus),
-            "ablate-budget" => experiments::ablate_budget(&corpus),
-            "ablate-sched" => experiments::ablate_sched(&corpus),
-            "registers" => experiments::registers(&corpus),
-            "baseline-post" => experiments::baseline_post(&corpus),
-            "all" => {
-                experiments::table1(&corpus);
-                experiments::table2();
-                experiments::fig12(&corpus);
-                experiments::fig13(&corpus);
-                experiments::fig14(&corpus);
-                experiments::fig15(&corpus);
-                experiments::fig16(&corpus);
-                experiments::fig17(&corpus);
-                experiments::fig18(&corpus);
-                experiments::fig19(&corpus);
-                experiments::table3(&corpus);
-                experiments::grid(&corpus);
-                experiments::ablate_order(&corpus);
-                experiments::ablate_pcr(&corpus);
-                experiments::ablate_budget(&corpus);
-                experiments::ablate_sched(&corpus);
-                experiments::registers(&corpus);
-                experiments::baseline_post(&corpus);
-            }
-            "quick" => {
-                // Smoke-test subset: headline experiments only.
-                experiments::table1(&corpus);
-                experiments::fig12(&corpus);
-                experiments::grid(&corpus);
-            }
-            other => {
-                eprintln!("unknown experiment id: {other}");
-                std::process::exit(2);
-            }
-        }
+    for run in runs {
+        run(&corpus);
     }
     println!("\ntotal: {:.1?}", t0.elapsed());
 }

@@ -12,7 +12,8 @@
 //! - [`TimeMrt`]: a `cycle mod II` x resource-instance grid for the
 //!   *scheduling* phase, with conflict reporting and force-place eviction
 //!   for the iterative modulo scheduler. It holds occupancy only; the
-//!   scheduler removes a placement by naming its row.
+//!   scheduler removes a placement by naming its row, and asks for no
+//!   table past [`MAX_TABLE_CELLS`].
 //!
 //! The crate also hosts [`ClusterMap`], the cluster-annotation layer the
 //! assigner produces and the scheduler consumes.
@@ -26,4 +27,4 @@ mod table;
 
 pub use count::{CountMrt, Full};
 pub use map::{ClusterMap, CopyMeta, CopyTargets};
-pub use table::{PlaceOutcome, SlotRequest, TimeMrt};
+pub use table::{PlaceOutcome, SlotRequest, TimeMrt, MAX_TABLE_CELLS};

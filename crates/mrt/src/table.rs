@@ -166,6 +166,16 @@ pub enum PlaceOutcome {
     Impossible,
 }
 
+/// The most cells (resource columns × II) a scheduler may ask a
+/// [`TimeMrt`] to hold, about 4 bytes a cell (277 MB at the bound;
+/// [`TimeMrt::reset`] grows by doubling, so its buffers stay under twice
+/// that). Each description limit of `clasp_text::limits` holds alone,
+/// but a machine and a loop at their limits multiply to tens of
+/// gigabytes, and a failed allocation aborts the process; a fixed bound
+/// keeps the refusal a pure function of the request, whatever memory the
+/// host has free.
+pub const MAX_TABLE_CELLS: u64 = 1 << 26;
+
 /// Time-indexed MRT for `machine` at a fixed II.
 ///
 /// Backed by `u64` occupancy rows and a holder grid that is read only
@@ -237,6 +247,11 @@ impl TimeMrt {
     /// The initiation interval.
     pub fn ii(&self) -> u32 {
         self.ii
+    }
+
+    /// Resource columns a row: the table holds `columns() × II` cells.
+    pub fn columns(&self) -> usize {
+        self.layout.total
     }
 
     /// Drop every placement and move the table to a new II: the packed

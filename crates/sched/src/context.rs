@@ -33,7 +33,7 @@ use crate::stats::{conflict_index, AttemptStats};
 use crate::swing::SchedulerKind;
 use clasp_ddg::{Ddg, LoopAnalysis, NodeId};
 use clasp_machine::MachineSpec;
-use clasp_mrt::{ClusterMap, PlaceOutcome, SlotRequest, TimeMrt};
+use clasp_mrt::{ClusterMap, PlaceOutcome, SlotRequest, TimeMrt, MAX_TABLE_CELLS};
 use std::borrow::Cow;
 
 /// Amortized state for scheduling one annotated graph on one machine at
@@ -167,7 +167,8 @@ impl<'a> SchedContext<'a> {
     /// [`SchedFailure::BudgetExhausted`] when the placement budget runs
     /// out, [`SchedFailure::ResourceImpossible`] when some node's request
     /// can never be granted on this machine; both carry the blocking
-    /// node.
+    /// node. [`SchedFailure::TableTooLarge`] when the reservation table at
+    /// `ii` would pass [`MAX_TABLE_CELLS`].
     ///
     /// # Panics
     ///
@@ -191,6 +192,12 @@ impl<'a> SchedContext<'a> {
         ii: u32,
         config: SchedulerConfig,
     ) -> Result<Schedule, SchedFailure> {
+        // Refused before `reset` sizes anything: the one check every
+        // scheduler, the unified baseline and the daemon pass through.
+        let cells = self.mrt.columns() as u64 * u64::from(ii);
+        if cells > MAX_TABLE_CELLS {
+            return Err(SchedFailure::TableTooLarge { ii, cells });
+        }
         let analysis: &LoopAnalysis = &self.analysis;
         self.stats.attempts += 1;
         let n = self.requests.len();
@@ -356,7 +363,9 @@ impl<'a> SchedContext<'a> {
     /// # Errors
     ///
     /// [`SchedFailure::Exhausted`] carrying the last attempt's reason
-    /// when no II in the range succeeds.
+    /// when no II in the range succeeds; [`SchedFailure::TableTooLarge`]
+    /// as soon as an II's table is refused, since every larger II's
+    /// table is larger still.
     pub fn schedule_in_range(
         &mut self,
         min_ii: u32,
@@ -368,6 +377,7 @@ impl<'a> SchedContext<'a> {
         for ii in min_ii..=max_ii {
             match self.attempt(ii, config) {
                 Ok(s) => return Ok(s),
+                Err(f @ SchedFailure::TableTooLarge { .. }) => return Err(f),
                 Err(f) => last = Some(Box::new(f)),
             }
         }
@@ -440,6 +450,25 @@ mod tests {
         ));
         let c = ctx.attempt(4, cfg()).unwrap();
         assert_eq!(a, c);
+    }
+
+    #[test]
+    fn a_table_past_the_cell_bound_is_refused_before_it_is_sized() {
+        let g = fig6();
+        let m = presets::unified_gp(2);
+        let map = unified_map(&g, &m);
+        let mut ctx = SchedContext::new(&g, &m, &map).unwrap();
+        // Two columns: the first II past the bound asks for 2^26 + 2 cells.
+        let ii = (1u32 << 25) + 1;
+        let refused = SchedFailure::TableTooLarge {
+            ii,
+            cells: MAX_TABLE_CELLS + 2,
+        };
+        assert_eq!(ctx.attempt(ii, cfg()), Err(refused.clone()));
+        // The sweep stops there: a larger II only grows the table.
+        assert_eq!(ctx.schedule_in_range(ii, u32::MAX, cfg()), Err(refused));
+        assert_eq!(ctx.stats().attempts, 0);
+        assert!(ctx.attempt(4, cfg()).is_ok());
     }
 
     #[test]

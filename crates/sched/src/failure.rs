@@ -55,6 +55,15 @@ pub enum SchedFailure {
     /// MII is unbounded: some operation kind has no functional unit
     /// anywhere on the machine, so no II search can even start.
     MiiUnbounded,
+    /// The reservation table at `ii` would hold `cells` (resource columns
+    /// × II), past [`clasp_mrt::MAX_TABLE_CELLS`]; refused before anything
+    /// is sized. A larger II only grows the table, so no escalation helps.
+    TableTooLarge {
+        /// The II whose table was refused.
+        ii: u32,
+        /// Cells that table would hold.
+        cells: u64,
+    },
     /// The graph annotation is unusable — a node is missing its cluster
     /// assignment or copy metadata. This is a caller error, not a
     /// scheduling outcome.
@@ -83,6 +92,7 @@ impl SchedFailure {
             SchedFailure::Budget { .. }
             | SchedFailure::Infeasible { .. }
             | SchedFailure::MiiUnbounded
+            | SchedFailure::TableTooLarge { .. }
             | SchedFailure::Invalid(_) => None,
         }
     }
@@ -96,6 +106,7 @@ impl SchedFailure {
             SchedFailure::Budget { .. }
             | SchedFailure::ResourceImpossible { .. }
             | SchedFailure::MiiUnbounded
+            | SchedFailure::TableTooLarge { .. }
             | SchedFailure::Invalid(_) => false,
             SchedFailure::Exhausted { last, .. } => last.as_ref().is_some_and(|f| f.retryable()),
         }
@@ -137,6 +148,11 @@ impl fmt::Display for SchedFailure {
             SchedFailure::MiiUnbounded => {
                 write!(f, "MII is unbounded: some operation has no unit anywhere")
             }
+            SchedFailure::TableTooLarge { ii, cells } => write!(
+                f,
+                "reservation table refused at II = {ii}: {cells} cells exceed the limit of {}",
+                clasp_mrt::MAX_TABLE_CELLS
+            ),
             SchedFailure::Invalid(e) => write!(f, "graph annotation unusable: {e}"),
             SchedFailure::Exhausted {
                 min_ii,
@@ -183,6 +199,11 @@ mod tests {
     #[test]
     fn structural_failures_are_not_retryable() {
         assert!(!SchedFailure::MiiUnbounded.retryable());
+        assert!(!SchedFailure::TableTooLarge {
+            ii: 9,
+            cells: 1 << 40
+        }
+        .retryable());
         assert!(!SchedFailure::ResourceImpossible {
             ii: 1,
             node: NodeId(0)

@@ -28,6 +28,15 @@
 //! the returned canonical artifact — the output is bit-identical to a
 //! local run.
 //!
+//! Every subcommand reads all of its flags before it does any work, and
+//! one `main` maps the outcome to the exit code: 2 for a bad flag, value
+//! or flag combination; 1 for a failed run (an unreadable or invalid
+//! input, a refused compile, an I/O error) and for a run that reports
+//! failures (fuzz violations, `FAILED` batch rows, load gates, corpus
+//! drift); 0 otherwise. Every `--seed` reads decimal or `0x` hex. Output
+//! goes line by line through one locked stdout; a reader that closes the
+//! pipe early ends the run quietly with exit 0.
+//!
 //! `fuzz` runs the differential oracle over a seeded stream of random
 //! (loop, machine) pairs and exits non-zero on any invariant violation;
 //! with `--shrink`, violating cases are minimized and written as
@@ -36,7 +45,9 @@
 //! prior runs are removed first). `--fault` corrupts each compiled
 //! artifact on purpose — a self-test proving the oracle detects bugs.
 //! Cases are checked on `--threads` workers (0 = one per hardware
-//! thread); the report is bit-identical for every value.
+//! thread); the report is bit-identical for every value. `--hard-out`
+//! (which needs `--exact`) mines the cases where the heuristic misses
+//! the exact II.
 //!
 //! `batch` compiles every `.clasp` loop under `--dir` (default `loops/`)
 //! against every preset machine, plus each pair's unified baseline, in
@@ -53,8 +64,9 @@
 //! spellings or the parameterized families (`mesh4x4`, `torus3x3`,
 //! `pe-grid2x3`, `het4c-s1998`, ...); `--stratum S` (or `all`) swaps the
 //! `--dir` loops for `--stratum-loops` generated loops per stratum at
-//! `--seed`; `--strata-csv PATH` additionally writes the aggregated
-//! per-stratum II-vs-unified degradation table (see `clasp::strata`).
+//! `--seed`; `--strata-csv PATH` (which needs `--stratum`) also writes
+//! the per-(preset, stratum) sums of the batch's own (clustered II,
+//! unified II) pairs, locally or on `--server` (see `clasp::strata`).
 //!
 //! `corpus` renders the stratified-corpus manifest (seed, per-stratum
 //! seeds, loop counts, structural fingerprints); `--check` compares the
@@ -102,29 +114,143 @@
 
 use clasp::serve::Client;
 use clasp::service::{CompileService, ServiceConfig, ServiceRequest};
-use clasp::strata::CLASSIC_PRESETS;
+use clasp::strata::{machine_by_name, SweepReport, SweepRow, CLASSIC_PRESETS};
 use clasp::{
-    unified_ii, BackendKind, CompileRequest, CompiledArtifact, PipelineConfig, RegisterModelKind,
+    unified_ii, BackendKind, CompileRequest, CompiledArtifact, PipelineError, RegisterModelKind,
     MAX_ITERATIONS,
 };
 use clasp_core::Variant;
 use clasp_ddg::{find_sccs, rec_mii, swing_order, Ddg};
+use clasp_loopgen::{generate_stratum, Stratum};
 use clasp_machine::{presets, MachineSpec};
 use clasp_obs::Obs;
 use clasp_sched::SchedulerKind;
 use clasp_text::limits::{MAX_BUSES, MAX_PORTS};
+use std::io::{self, Write};
 use std::process::ExitCode;
 
+const USAGE: &str = "\
+usage: clasp-cli <analyze|compile|simulate|fuzz|batch|load|corpus|machines> [loop.clasp] [options]
+see `clasp-cli machines` for presets; options: --machine --buses --ports
+--variant --scheduler --backend --model --iterations --dot --kernel --explain
+--trace-json
+--cache-dir --server
+fuzz options: --seed --cases --iterations --shrink --fault --out --threads
+--exact --hard-out --cache-dir
+batch options: --dir --backend --threads --trace-json --cache-dir
+--server --preset --stratum --stratum-loops --seed --strata-csv
+load options: --mix --transport --clients --requests --seed --rate --hard-dir
+--server --json --trace-json --gate --gate-factor
+corpus options: --seed --loops-per-stratum --out --check";
+
+/// How a subcommand ends when it does not succeed; `main` maps each to
+/// the process's exit code.
+enum Exit {
+    /// A bad flag, value or flag combination, found before any work:
+    /// exit 2.
+    Usage(String),
+    /// The run failed: exit 1.
+    Failed(String),
+    /// Writing stdout failed. A closed pipe ends the run quietly, exit 0.
+    Io(io::Error),
+}
+
+impl From<String> for Exit {
+    fn from(e: String) -> Self {
+        Exit::Failed(e)
+    }
+}
+
+impl From<io::Error> for Exit {
+    fn from(e: io::Error) -> Self {
+        Exit::Io(e)
+    }
+}
+
+/// One subcommand's flags, read left to right.
+struct Flags<'a>(std::slice::Iter<'a, String>);
+
+impl<'a> Flags<'a> {
+    /// Hand every flag of `cmd`'s `args` to `apply`, which reads its
+    /// value, if it takes one, with [`Flags::take`], and answers `false`
+    /// for a flag `cmd` does not know.
+    fn read(
+        cmd: &str,
+        args: &'a [String],
+        mut apply: impl FnMut(&'a str, &mut Flags<'a>) -> Result<bool, Exit>,
+    ) -> Result<(), Exit> {
+        let mut flags = Flags(args.iter());
+        while let Some(flag) = flags.0.next() {
+            if !apply(flag, &mut flags)? {
+                return Err(Exit::Usage(format!("unknown {cmd} option `{flag}`")));
+            }
+        }
+        Ok(())
+    }
+
+    /// The value after `flag`, converted by `read`. A missing or
+    /// unreadable value is the usage error "`flag` `expect`".
+    fn take<T>(
+        &mut self,
+        flag: &str,
+        expect: &str,
+        read: impl FnOnce(&'a str) -> Option<T>,
+    ) -> Result<T, Exit> {
+        self.0
+            .next()
+            .and_then(|v| read(v))
+            .ok_or_else(|| Exit::Usage(format!("{flag} {expect}")))
+    }
+}
+
+const NUMBER: &str = "needs a number";
+const SEED: &str = "needs a number (decimal or 0x hex)";
+
+fn number<T: std::str::FromStr>(v: &str) -> Option<T> {
+    v.parse().ok()
+}
+
+fn text(v: &str) -> Option<String> {
+    Some(v.to_string())
+}
+
+/// A seed as decimal or `0x`-prefixed hex.
+fn seed(v: &str) -> Option<u64> {
+    match v.strip_prefix("0x") {
+        Some(hex) => u64::from_str_radix(hex, 16).ok(),
+        None => v.parse().ok(),
+    }
+}
+
+/// An `--iterations` value: a trip count the driver accepts from outside.
+fn iterations(flags: &mut Flags, flag: &str) -> Result<i64, Exit> {
+    flags.take(
+        flag,
+        &format!("needs a number from 0 to {MAX_ITERATIONS}"),
+        |v| v.parse().ok().filter(|n| (0..=MAX_ITERATIONS).contains(n)),
+    )
+}
+
+/// A `--buses` or `--ports` override, at most `limit` (the same bound a
+/// `.machine` description meets).
+fn count(flags: &mut Flags, flag: &str, limit: u32) -> Result<u32, Exit> {
+    flags.take(flag, &format!("needs a number up to {limit}"), |v| {
+        v.parse().ok().filter(|&n| n <= limit)
+    })
+}
+
+/// The machine `compile` and `simulate` target: a preset resolved while
+/// the flags are read, or a `.machine` file read when the run starts.
+enum MachineArg {
+    Preset(MachineSpec),
+    File(String),
+}
+
+/// The flags `analyze`, `compile` and `simulate` share.
 struct Options {
-    machine: String,
-    machine_file: Option<String>,
-    buses: Option<u32>,
-    ports: Option<u32>,
+    machine: MachineArg,
     variant: Variant,
-    scheduler: SchedulerKind,
-    backend: BackendKind,
-    model: RegisterModelKind,
-    iterations: i64,
+    req: CompileRequest,
     dot: bool,
     kernel: bool,
     explain: bool,
@@ -133,26 +259,103 @@ struct Options {
     server: Option<String>,
 }
 
-impl Default for Options {
-    fn default() -> Self {
-        Options {
-            machine: "2c-gp".into(),
-            machine_file: None,
-            buses: None,
-            ports: None,
+impl Options {
+    fn read(cmd: &str, args: &[String]) -> Result<Options, Exit> {
+        let mut name = "2c-gp";
+        let mut machine_file = None;
+        let (mut buses, mut ports) = (None, None);
+        let mut opts = Options {
+            machine: MachineArg::File(String::new()),
             variant: Variant::HeuristicIterative,
-            scheduler: SchedulerKind::Iterative,
-            backend: BackendKind::Heuristic,
-            model: RegisterModelKind::Mve,
-            iterations: 16,
+            // Restaging off, so the printed registers and kernel table
+            // describe the raw modulo schedule, as the paper's tables do.
+            req: CompileRequest {
+                restage: false,
+                verify: false,
+                ..CompileRequest::default()
+            },
             dot: false,
             kernel: false,
             explain: false,
             trace_json: None,
             cache_dir: None,
             server: None,
+        };
+        Flags::read(cmd, args, |flag, v| {
+            match flag {
+                "--machine" => name = v.take(flag, "needs a value", Some)?,
+                "--machine-file" => machine_file = Some(v.take(flag, "needs a path", text)?),
+                "--buses" => buses = Some(count(v, flag, MAX_BUSES)?),
+                "--ports" => ports = Some(count(v, flag, MAX_PORTS)?),
+                "--variant" => {
+                    opts.variant = v.take(
+                        flag,
+                        "is `simple`, `simple-iterative`, `heuristic` or `heuristic-iterative`",
+                        variant,
+                    )?;
+                }
+                "--scheduler" => {
+                    opts.req.pipeline.scheduler =
+                        v.take(flag, "is `iterative` or `swing`", SchedulerKind::parse)?;
+                }
+                "--backend" => {
+                    opts.req.backend =
+                        v.take(flag, "is `heuristic` or `exact`", BackendKind::parse)?;
+                }
+                "--model" => {
+                    opts.req.register_model =
+                        v.take(flag, "is `mve` or `rotating`", RegisterModelKind::parse)?;
+                }
+                "--iterations" => opts.req.iterations = iterations(v, flag)?,
+                "--dot" => opts.dot = true,
+                "--kernel" => opts.kernel = true,
+                "--explain" => opts.explain = true,
+                "--trace-json" => opts.trace_json = Some(v.take(flag, "needs a path", text)?),
+                "--cache-dir" => opts.cache_dir = Some(v.take(flag, "needs a directory", text)?),
+                "--server" => opts.server = Some(v.take(flag, "needs host:port", text)?),
+                _ => return Ok(false),
+            }
+            Ok(true)
+        })?;
+        opts.req.pipeline.assign = opts.variant.into();
+        opts.machine = match machine_file {
+            Some(path) => MachineArg::File(path),
+            None => MachineArg::Preset(preset(name, buses, ports)?),
+        };
+        Ok(opts)
+    }
+
+    fn machine(&self) -> Result<MachineSpec, String> {
+        match &self.machine {
+            MachineArg::Preset(m) => Ok(m.clone()),
+            MachineArg::File(path) => {
+                let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+                clasp_text::parse_machine(&text).map_err(|e| format!("{path}: {e}"))
+            }
         }
     }
+}
+
+/// A machine preset by name. `--buses`/`--ports` apply to the classic
+/// names; the parameterized families (mesh4x4, torus3x3, pe-grid2x3,
+/// het6c-s2a, ...) are pure functions of their name, exactly as
+/// `.machine` text pins them.
+fn preset(name: &str, buses: Option<u32>, ports: Option<u32>) -> Result<MachineSpec, Exit> {
+    match CLASSIC_PRESETS.iter().find(|(classic, _)| *classic == name) {
+        Some((_, build)) => Ok(build(buses, ports)),
+        None => presets::by_name(name)
+            .ok_or_else(|| Exit::Usage(format!("unknown machine preset `{name}`"))),
+    }
+}
+
+fn variant(s: &str) -> Option<Variant> {
+    Some(match s {
+        "simple" => Variant::Simple,
+        "simple-iterative" => Variant::SimpleIterative,
+        "heuristic" => Variant::Heuristic,
+        "heuristic-iterative" => Variant::HeuristicIterative,
+        _ => return None,
+    })
 }
 
 /// The local compile service for one CLI invocation: the persistent
@@ -166,11 +369,46 @@ fn local_service(cache_dir: Option<&str>) -> Result<CompileService, String> {
     .map_err(|e| format!("opening cache dir: {e}"))
 }
 
+/// One compile on the `--server` daemon at `addr`: the canonical loop
+/// and machine texts out, the canonical artifact (or the typed failure)
+/// back, bit-identical to a local compile, with the Chrome trace when
+/// `capture_trace` asks for one.
+fn remote_compile(
+    client: &mut Client,
+    addr: &str,
+    g: &Ddg,
+    machine: &MachineSpec,
+    req: &CompileRequest,
+    capture_trace: bool,
+) -> Result<(Result<CompiledArtifact, PipelineError>, Option<String>), String> {
+    let mut sreq = ServiceRequest::new(
+        clasp_text::write_loop(g),
+        clasp_text::write_machine(machine),
+    );
+    sreq.request = *req;
+    sreq.capture_trace = capture_trace;
+    let reply = client.compile(&sreq).map_err(|e| format!("{addr}: {e}"))?;
+    let result = reply.decode().map_err(|e| format!("{addr}: {e}"))?;
+    Ok((result, reply.trace))
+}
+
+fn connect(addr: &str) -> Result<Client, String> {
+    Client::connect(addr).map_err(|e| format!("{addr}: {e}"))
+}
+
+/// Write a Chrome trace-event JSON file to `path` if one was requested.
+fn write_trace(path: Option<&str>, trace: impl FnOnce() -> String) -> Result<(), String> {
+    if let Some(path) = path {
+        std::fs::write(path, trace()).map_err(|e| format!("{path}: {e}"))?;
+        eprintln!("trace written to {path}");
+    }
+    Ok(())
+}
+
 /// The one compile behind `compile` and `simulate`: on the `--server`
-/// daemon (canonical texts over the wire, canonical artifact back,
-/// bit-identical to a local compile) or through a local service, writing
-/// the `--trace-json` file either way. Also returns the span tree of a
-/// local compile under `--explain`; a daemon ships only the trace JSON.
+/// daemon or through a local service, writing the `--trace-json` file
+/// either way. Also returns the span tree of a local compile under
+/// `--explain`; a daemon ships only the trace JSON.
 fn compile_one(
     g: &Ddg,
     machine: &MachineSpec,
@@ -178,18 +416,10 @@ fn compile_one(
     opts: &Options,
 ) -> Result<(CompiledArtifact, Option<String>), String> {
     let (result, rendered) = if let Some(addr) = &opts.server {
-        let mut client = Client::connect(addr).map_err(|e| format!("{addr}: {e}"))?;
-        let mut sreq = ServiceRequest::new(
-            clasp_text::write_loop(g),
-            clasp_text::write_machine(machine),
-        );
-        sreq.request = *req;
-        sreq.capture_trace = opts.trace_json.is_some();
-        let reply = client.compile(&sreq).map_err(|e| format!("{addr}: {e}"))?;
-        let result = reply.decode().map_err(|e| format!("{addr}: {e}"))?;
-        if let (Some(path), Some(trace)) = (&opts.trace_json, &reply.trace) {
-            std::fs::write(path, trace).map_err(|e| format!("{path}: {e}"))?;
-            eprintln!("trace written to {path}");
+        let capture = opts.trace_json.is_some();
+        let (result, trace) = remote_compile(&mut connect(addr)?, addr, g, machine, req, capture)?;
+        if let Some(trace) = trace {
+            write_trace(opts.trace_json.as_deref(), || trace)?;
         }
         (result, None)
     } else {
@@ -206,70 +436,10 @@ fn compile_one(
             .compile_artifact(g, machine, req, &obs)
             .as_ref()
             .clone();
-        write_trace(opts.trace_json.as_deref(), &obs)?;
+        write_trace(opts.trace_json.as_deref(), || obs.chrome_trace())?;
         (result, opts.explain.then(|| obs.render()))
     };
     Ok((result.map_err(|e| e.to_string())?, rendered))
-}
-
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage: clasp-cli <analyze|compile|simulate|fuzz|batch|load|corpus|machines> [loop.clasp] [options]\n\
-         see `clasp-cli machines` for presets; options: --machine --buses --ports\n\
-         --variant --scheduler --backend --model --iterations --dot --kernel --explain\n\
-         --trace-json\n\
-         --cache-dir --server\n\
-         fuzz options: --seed --cases --iterations --shrink --fault --out --threads\n\
-         --exact --hard-out --cache-dir\n\
-         batch options: --dir --backend --threads --trace-json --cache-dir\n\
-         --server --preset --stratum --stratum-loops --seed --strata-csv\n\
-         load options: --mix --transport --clients --requests --seed --rate --hard-dir\n\
-         --server --json --trace-json --gate --gate-factor\n\
-         corpus options: --seed --loops-per-stratum --out --check"
-    );
-    ExitCode::from(2)
-}
-
-/// An `--iterations` value: a trip count the driver accepts from outside.
-fn iterations_flag(value: Option<String>) -> Result<i64, String> {
-    value
-        .and_then(|v| v.parse().ok())
-        .filter(|n| (0..=MAX_ITERATIONS).contains(n))
-        .ok_or_else(|| format!("--iterations needs a number from 0 to {MAX_ITERATIONS}"))
-}
-
-/// A `--buses` or `--ports` override, at most `limit` (the same bound a
-/// `.machine` description meets).
-fn count_flag(flag: &str, value: Option<String>, limit: u32) -> Result<u32, String> {
-    value
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n <= limit)
-        .ok_or_else(|| format!("{flag} needs a number up to {limit}"))
-}
-
-fn build_machine(opts: &Options) -> Result<MachineSpec, String> {
-    if let Some(path) = &opts.machine_file {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-        return clasp_text::parse_machine(&text).map_err(|e| format!("{path}: {e}"));
-    }
-    let name = opts.machine.as_str();
-    match CLASSIC_PRESETS.iter().find(|(classic, _)| *classic == name) {
-        Some((_, build)) => Ok(build(opts.buses, opts.ports)),
-        // The parameterized families (mesh4x4, torus3x3, pe-grid2x3,
-        // het6c-s2a, ...) are pure functions of their name — no
-        // --buses/--ports overrides, exactly as `.machine` text pins them.
-        None => presets::by_name(name).ok_or_else(|| format!("unknown machine preset `{name}`")),
-    }
-}
-
-fn parse_variant(s: &str) -> Result<Variant, String> {
-    Ok(match s {
-        "simple" => Variant::Simple,
-        "simple-iterative" => Variant::SimpleIterative,
-        "heuristic" => Variant::Heuristic,
-        "heuristic-iterative" => Variant::HeuristicIterative,
-        other => return Err(format!("unknown variant `{other}`")),
-    })
 }
 
 fn load_loop(path: &str) -> Result<Ddg, String> {
@@ -277,105 +447,84 @@ fn load_loop(path: &str) -> Result<Ddg, String> {
     clasp_text::parse_loop(&text).map_err(|e| format!("{path}: {e}"))
 }
 
-fn analyze(g: &Ddg) {
-    println!(
+fn analyze(g: &Ddg, out: &mut dyn Write) -> io::Result<()> {
+    writeln!(
+        out,
         "loop {}: {} ops, {} deps, RecMII = {}",
         g.name(),
         g.node_count(),
         g.edge_count(),
         rec_mii(g)
-    );
+    )?;
     let sccs = find_sccs(g);
     for (i, scc) in sccs.non_trivial() {
         let names: Vec<&str> = scc.nodes.iter().map(|&n| g.op(n).label()).collect();
-        println!(
+        writeln!(
+            out,
             "  recurrence (RecMII {}): {{{}}}",
             clasp_ddg::scc_rec_mii(g, &sccs, i),
             names.join(", ")
-        );
+        )?;
     }
     let order: Vec<&str> = swing_order(g).iter().map(|&n| g.op(n).label()).collect();
-    println!("  assignment order: {}", order.join(", "));
+    writeln!(out, "  assignment order: {}", order.join(", "))
 }
 
-/// The driver request both subcommands share: restaging off so the
-/// printed registers and kernel table describe the raw modulo schedule,
-/// exactly as the paper's tables do.
-fn request(opts: &Options, verify: bool) -> CompileRequest {
-    CompileRequest {
-        backend: opts.backend,
-        pipeline: PipelineConfig {
-            assign: opts.variant.into(),
-            scheduler: opts.scheduler,
-            ..PipelineConfig::default()
-        },
-        register_model: opts.model,
-        restage: false,
-        iterations: opts.iterations,
-        verify,
-    }
-}
-
-/// Write the sink's Chrome trace-event JSON to `path` if requested.
-fn write_trace(trace_json: Option<&str>, obs: &Obs) -> Result<(), String> {
-    if let Some(path) = trace_json {
-        std::fs::write(path, obs.chrome_trace()).map_err(|e| format!("{path}: {e}"))?;
-        eprintln!("trace written to {path}");
-    }
-    Ok(())
-}
-
-fn compile(g: &Ddg, opts: &Options) -> Result<(), String> {
-    let machine = build_machine(opts)?;
-    let req = request(opts, false);
+fn compile(g: &Ddg, opts: &Options, out: &mut dyn Write) -> Result<(), Exit> {
+    let machine = opts.machine()?;
+    let req = opts.req;
     // The decision log narrates the heuristic assigner's selection
     // cascade; under `--backend exact` the artifact comes from the SAT
     // model instead, so printing it would describe a different
     // assignment than the one shown below.
-    if opts.explain && opts.backend == BackendKind::Heuristic {
-        let config = req.pipeline;
-        let (res, trace) = clasp_core::assign_traced(g, &machine, config.assign, 1);
+    if opts.explain && req.backend == BackendKind::Heuristic {
+        let (res, trace) = clasp_core::assign_traced(g, &machine, req.pipeline.assign, 1);
         res.map_err(|e| e.to_string())?;
-        println!("assignment decision log:");
+        writeln!(out, "assignment decision log:")?;
         for event in &trace.events {
             let mut line = event.to_string();
             for (n, op) in g.nodes() {
                 line = line.replace(&format!("{n}:"), &format!("{}:", op.label()));
             }
-            println!("  {line}");
+            writeln!(out, "  {line}")?;
         }
-        println!();
+        writeln!(out)?;
     }
     let (artifact, obs_render) = compile_one(g, &machine, &req, opts)?;
     let baseline = unified_ii(g, &machine, req.pipeline.sched);
     let wg = &artifact.assignment.graph;
     let report = &artifact.report;
 
-    println!("machine:   {machine}");
-    match opts.backend {
-        BackendKind::Heuristic => {
-            println!("variant:   {} / {} scheduler", opts.variant, opts.scheduler)
-        }
-        BackendKind::Exact => println!("variant:   exact SAT backend (proven minimal II)"),
+    writeln!(out, "machine:   {machine}")?;
+    match req.backend {
+        BackendKind::Heuristic => writeln!(
+            out,
+            "variant:   {} / {} scheduler",
+            opts.variant, req.pipeline.scheduler
+        )?,
+        BackendKind::Exact => writeln!(out, "variant:   exact SAT backend (proven minimal II)")?,
     }
-    println!(
+    writeln!(
+        out,
         "II:        {} (unified baseline: {})",
         artifact.ii(),
         baseline.map_or("-".into(), |u| u.to_string())
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "copies:    {} inserted; II attempts {}, removals {}",
         artifact.assignment.copy_count(),
         artifact.assignment.stats.ii_attempts,
         artifact.assignment.stats.removals
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "registers: MaxLive {}, MVE requirement {}, kernel unroll {}x",
         report.registers_final.max_live,
         report.registers_final.requirement,
         report.registers_final.unroll
-    );
-    println!("\nplacement:");
+    )?;
+    writeln!(out, "\nplacement:")?;
     for c in machine.cluster_ids() {
         let names: Vec<String> = artifact
             .assignment
@@ -383,86 +532,82 @@ fn compile(g: &Ddg, opts: &Options) -> Result<(), String> {
             .iter()
             .map(|&n| wg.op(n).label().to_string())
             .collect();
-        println!("  {c}: {}", names.join(", "));
+        writeln!(out, "  {c}: {}", names.join(", "))?;
     }
     if opts.kernel {
-        println!();
-        print!("{}", artifact.kernel_table(&machine));
+        writeln!(out)?;
+        write!(out, "{}", artifact.kernel_table(&machine))?;
     }
     if opts.dot {
-        println!("\n{}", wg.to_dot());
+        writeln!(out, "\n{}", wg.to_dot())?;
     }
     if opts.explain {
-        println!("\n{report}");
+        writeln!(out, "\n{report}")?;
         match &obs_render {
             Some(rendered) => {
-                println!("\nobservability:");
-                print!("{rendered}");
+                writeln!(out, "\nobservability:")?;
+                write!(out, "{rendered}")?;
             }
             // Remote compiles do not ship the span tree; the trace JSON
             // (`--trace-json`) carries the same spans.
-            None => println!("\nobservability: recorded on the server (use --trace-json)"),
+            None => writeln!(
+                out,
+                "\nobservability: recorded on the server (use --trace-json)"
+            )?,
         }
     }
     Ok(())
 }
 
-fn simulate(g: &Ddg, opts: &Options) -> Result<(), String> {
-    let machine = build_machine(opts)?;
-    let (artifact, _) = compile_one(g, &machine, &request(opts, true), opts)?;
-    println!(
+fn simulate(g: &Ddg, opts: &Options, out: &mut dyn Write) -> Result<(), Exit> {
+    let machine = opts.machine()?;
+    let req = CompileRequest {
+        verify: true,
+        ..opts.req
+    };
+    let (artifact, _) = compile_one(g, &machine, &req, opts)?;
+    writeln!(
+        out,
         "ok: pipelined execution (II = {}) matches sequential execution over {} iterations",
         artifact.ii(),
-        opts.iterations
-    );
+        req.iterations
+    )?;
     Ok(())
 }
 
 /// `clasp-cli fuzz`: the differential oracle over a seeded case stream.
 /// Exits non-zero when any case violates an invariant, so CI can gate on
 /// it directly.
-fn fuzz(args: &[String]) -> Result<bool, String> {
+fn fuzz(args: &[String], out: &mut dyn Write) -> Result<bool, Exit> {
     let mut config = clasp_oracle::FuzzConfig::default();
     let mut shrink = false;
-    let mut out = String::from("results/repros");
+    let mut repros = String::from("results/repros");
     let mut hard_out: Option<String> = None;
     let mut cache_dir: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        let take = |i: &mut usize| -> Option<String> {
-            *i += 1;
-            args.get(*i).cloned()
-        };
-        match args[i].as_str() {
-            "--seed" => {
-                config.seed = take(&mut i)
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--seed needs a number")?;
-            }
-            "--cases" => {
-                config.cases = take(&mut i)
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--cases needs a number")?;
-            }
-            "--iterations" => config.iterations = iterations_flag(take(&mut i))?,
+    Flags::read("fuzz", args, |flag, v| {
+        match flag {
+            "--seed" => config.seed = v.take(flag, SEED, seed)?,
+            "--cases" => config.cases = v.take(flag, NUMBER, number)?,
+            "--iterations" => config.iterations = iterations(v, flag)?,
             "--fault" => {
-                config.fault = take(&mut i)
-                    .and_then(|v| clasp_oracle::Fault::parse(&v))
-                    .ok_or("--fault is `none`, `skew`, `misplace` or `smear`")?;
+                config.fault = v.take(
+                    flag,
+                    "is `none`, `skew`, `misplace` or `smear`",
+                    clasp_oracle::Fault::parse,
+                )?;
             }
-            "--threads" => {
-                config.threads = take(&mut i)
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--threads needs a number")?;
-            }
+            "--threads" => config.threads = v.take(flag, NUMBER, number)?,
             "--shrink" => shrink = true,
             "--exact" => config.exact = true,
-            "--out" => out = take(&mut i).ok_or("--out needs a directory")?,
-            "--hard-out" => hard_out = Some(take(&mut i).ok_or("--hard-out needs a directory")?),
-            "--cache-dir" => cache_dir = Some(take(&mut i).ok_or("--cache-dir needs a directory")?),
-            other => return Err(format!("unknown fuzz option `{other}`")),
+            "--out" => repros = v.take(flag, "needs a directory", text)?,
+            "--hard-out" => hard_out = Some(v.take(flag, "needs a directory", text)?),
+            "--cache-dir" => cache_dir = Some(v.take(flag, "needs a directory", text)?),
+            _ => return Ok(false),
         }
-        i += 1;
+        Ok(true)
+    })?;
+    if hard_out.is_some() && !config.exact {
+        return Err(Exit::Usage("--hard-out requires --exact".into()));
     }
 
     // The oracle's pipeline goes through the compile service: a case
@@ -471,29 +616,31 @@ fn fuzz(args: &[String]) -> Result<bool, String> {
     let service = local_service(cache_dir.as_deref())?;
     let pipeline = |g: &Ddg, m: &MachineSpec| service.oracle_case(g, m);
     let report = if shrink {
-        clasp_oracle::run_fuzz_with_repros(&config, &pipeline, std::path::Path::new(&out))
-            .map_err(|e| format!("writing reproducers under {out}: {e}"))?
+        clasp_oracle::run_fuzz_with_repros(&config, &pipeline, std::path::Path::new(&repros))
+            .map_err(|e| format!("writing reproducers under {repros}: {e}"))?
     } else {
         clasp_oracle::run_fuzz(&config, &pipeline)
     };
 
     for failure in &report.failures {
-        println!(
+        writeln!(
+            out,
             "case {:04} (seed {:#018x}, loop {}, machine {}):",
             failure.case.index,
             failure.case.case_seed,
             failure.case.graph.name(),
             failure.case.machine.name()
-        );
+        )?;
         for v in &failure.violations {
-            println!("  [{}] {v}", v.kind());
+            writeln!(out, "  [{}] {v}", v.kind())?;
         }
     }
     for path in &report.repro_files {
-        println!("reproducer: {}", path.display());
+        writeln!(out, "reproducer: {}", path.display())?;
     }
     for hard in &report.hard {
-        println!(
+        writeln!(
+            out,
             "hard case {:04}: heuristic II {} vs exact II {} ({} nodes, loop {}, machine {})",
             hard.case.index,
             hard.heuristic,
@@ -501,38 +648,28 @@ fn fuzz(args: &[String]) -> Result<bool, String> {
             hard.case.graph.node_count(),
             hard.case.graph.name(),
             hard.case.machine.name()
-        );
+        )?;
     }
     if let Some(dir) = &hard_out {
-        if !config.exact {
-            return Err("--hard-out requires --exact".into());
-        }
         let written = clasp_oracle::mine_hard_cases(&report, &pipeline, std::path::Path::new(dir))
             .map_err(|e| format!("mining hard cases under {dir}: {e}"))?;
         for path in &written {
-            println!("hard instance: {}", path.display());
+            writeln!(out, "hard instance: {}", path.display())?;
         }
     }
-    print!(
+    write!(
+        out,
         "fuzz: {} cases checked (seed {}, fault {}), {} violating",
         report.checked,
         config.seed,
         config.fault,
         report.failures.len()
-    );
+    )?;
     if config.exact {
-        print!(", {} hard", report.hard.len());
+        write!(out, ", {} hard", report.hard.len())?;
     }
-    println!();
+    writeln!(out)?;
     Ok(report.is_clean())
-}
-
-/// Parse a seed as decimal or `0x`-prefixed hex.
-fn parse_seed(s: &str) -> Option<u64> {
-    match s.strip_prefix("0x") {
-        Some(hex) => u64::from_str_radix(hex, 16).ok(),
-        None => s.parse().ok(),
-    }
 }
 
 /// `clasp-cli corpus`: render the stratified-corpus manifest, or check
@@ -540,42 +677,28 @@ fn parse_seed(s: &str) -> Option<u64> {
 /// (seed, loops-per-stratum); CI regenerates it and `cmp`s against
 /// `results/strata-manifest.txt`, so any intentional generator change
 /// must recommit that file.
-fn corpus_cmd(args: &[String]) -> Result<bool, String> {
+fn corpus(args: &[String], out: &mut dyn Write) -> Result<bool, Exit> {
     use clasp_loopgen::{strata_manifest, StrataConfig};
 
     let mut config = StrataConfig::default();
-    let mut out: Option<String> = None;
+    let mut path_out: Option<String> = None;
     let mut check: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        let take = |i: &mut usize| -> Option<String> {
-            *i += 1;
-            args.get(*i).cloned()
-        };
-        match args[i].as_str() {
-            "--seed" => {
-                config.seed = take(&mut i)
-                    .as_deref()
-                    .and_then(parse_seed)
-                    .ok_or("--seed needs a number (decimal or 0x hex)")?;
-            }
-            "--loops-per-stratum" => {
-                config.loops_per_stratum = take(&mut i)
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--loops-per-stratum needs a number")?;
-            }
-            "--out" => out = Some(take(&mut i).ok_or("--out needs a path")?),
-            "--check" => check = Some(take(&mut i).ok_or("--check needs a manifest path")?),
-            other => return Err(format!("unknown corpus option `{other}`")),
+    Flags::read("corpus", args, |flag, v| {
+        match flag {
+            "--seed" => config.seed = v.take(flag, SEED, seed)?,
+            "--loops-per-stratum" => config.loops_per_stratum = v.take(flag, NUMBER, number)?,
+            "--out" => path_out = Some(v.take(flag, "needs a path", text)?),
+            "--check" => check = Some(v.take(flag, "needs a manifest path", text)?),
+            _ => return Ok(false),
         }
-        i += 1;
-    }
+        Ok(true)
+    })?;
 
     let manifest = strata_manifest(config);
     if let Some(path) = &check {
         let committed = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
         if committed == manifest {
-            println!("corpus manifest {path}: ok");
+            writeln!(out, "corpus manifest {path}: ok")?;
             return Ok(true);
         }
         eprintln!(
@@ -590,129 +713,128 @@ fn corpus_cmd(args: &[String]) -> Result<bool, String> {
         }
         return Ok(false);
     }
-    match &out {
+    match &path_out {
         Some(path) => {
             std::fs::write(path, &manifest).map_err(|e| format!("{path}: {e}"))?;
             eprintln!("manifest written to {path}");
         }
-        None => print!("{manifest}"),
+        None => write!(out, "{manifest}")?,
     }
     Ok(true)
 }
 
 /// The preset list `batch` and `machines` share (name, spec), in the
 /// order they are printed.
-fn preset_list() -> Vec<(&'static str, MachineSpec)> {
+fn preset_list() -> Vec<(String, MachineSpec)> {
     CLASSIC_PRESETS
         .iter()
-        .map(|&(name, build)| (name, build(None, None)))
+        .map(|&(name, build)| (name.to_string(), build(None, None)))
         .collect()
 }
 
-/// `clasp-cli batch`: every `.clasp` loop under `--dir` against every
-/// preset machine (clustered + unified baseline per pair) in one
-/// parallel sweep through the compile cache. Stdout is bit-identical
-/// for every `--threads` value; timing goes to stderr.
-/// One batch report row from the pair's two compile results — shared
-/// verbatim between the local sweep and the `--server` path so the
-/// printed rows are bit-identical wherever the compile ran.
-fn batch_row(
-    clustered: &Result<CompiledArtifact, clasp::PipelineError>,
-    unified: &Result<CompiledArtifact, clasp::PipelineError>,
-    machine: &MachineSpec,
-) -> Result<String, String> {
-    let baseline = match unified {
-        Ok(a) => a.ii().to_string(),
-        Err(_) => "-".into(),
-    };
-    match clustered {
-        Ok(a) => {
-            // Content hash of the kernel: CI diffs batch output
-            // across thread counts, so this certifies the whole
-            // emitted kernel bit-for-bit, not just the II.
-            let kernel = clasp_exec::CacheKey::of(&[&a.kernel_table(machine)]).to_string();
-            Ok(format!(
-                "II {:>2} (unified {:>2}), {} copies, kernel {}",
-                a.ii(),
-                baseline,
-                a.assignment.copy_count(),
-                kernel
-            ))
-        }
-        Err(e) => Err(e.to_string()),
+/// One batch pair: its report line (or failure), shared verbatim between
+/// the local sweep and the `--server` path so the printed rows are
+/// bit-identical wherever the compile ran, and its (clustered II,
+/// unified II) when both compiles succeeded.
+struct Row {
+    line: Result<String, String>,
+    iis: Option<(u32, u32)>,
+}
+
+impl Row {
+    fn of(
+        clustered: &Result<CompiledArtifact, PipelineError>,
+        unified: &Result<CompiledArtifact, PipelineError>,
+        machine: &MachineSpec,
+    ) -> Row {
+        let baseline = match unified {
+            Ok(a) => a.ii().to_string(),
+            Err(_) => "-".into(),
+        };
+        let line = match clustered {
+            Ok(a) => {
+                // Content hash of the kernel: CI diffs batch output
+                // across thread counts, so this certifies the whole
+                // emitted kernel bit-for-bit, not just the II.
+                let kernel = clasp_exec::CacheKey::of(&[&a.kernel_table(machine)]).to_string();
+                Ok(format!(
+                    "II {:>2} (unified {:>2}), {} copies, kernel {}",
+                    a.ii(),
+                    baseline,
+                    a.assignment.copy_count(),
+                    kernel
+                ))
+            }
+            Err(e) => Err(e.to_string()),
+        };
+        let iis = match (clustered, unified) {
+            (Ok(c), Ok(u)) => Some((c.ii(), u.ii())),
+            _ => None,
+        };
+        Row { line, iis }
     }
 }
 
-fn batch(args: &[String]) -> Result<bool, String> {
-    use clasp::strata::{machine_by_name, run_sweep, SweepConfig};
-    use clasp_loopgen::{generate_stratum, Stratum};
-
+/// `clasp-cli batch`: every `.clasp` loop under `--dir` (or every
+/// generated `--stratum` loop) against every preset machine, clustered
+/// and unified baseline per pair, in one parallel sweep through the
+/// compile cache. Stdout is bit-identical for every `--threads` value;
+/// timing goes to stderr.
+fn batch(args: &[String], out: &mut dyn Write) -> Result<bool, Exit> {
     let mut dir = String::from("loops");
     let mut backend = BackendKind::Heuristic;
     let mut threads = 0usize;
     let mut trace_json: Option<String> = None;
     let mut cache_dir: Option<String> = None;
     let mut server: Option<String> = None;
-    let mut preset_names: Vec<String> = Vec::new();
+    let mut machines: Vec<(String, MachineSpec)> = Vec::new();
     let mut strata: Vec<Stratum> = Vec::new();
     let mut stratum_loops = 40usize;
-    let mut seed = 0x1998_C1A5u64;
+    let mut stratum_seed = 0x1998_C1A5u64;
     let mut strata_csv: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        let take = |i: &mut usize| -> Option<String> {
-            *i += 1;
-            args.get(*i).cloned()
-        };
-        match args[i].as_str() {
-            "--dir" => dir = take(&mut i).ok_or("--dir needs a directory")?,
+    Flags::read("batch", args, |flag, v| {
+        match flag {
+            "--dir" => dir = v.take(flag, "needs a directory", text)?,
             "--backend" => {
-                backend = take(&mut i)
-                    .and_then(|v| BackendKind::parse(&v))
-                    .ok_or("--backend is `heuristic` or `exact`")?;
+                backend = v.take(flag, "is `heuristic` or `exact`", BackendKind::parse)?
             }
-            "--threads" => {
-                threads = take(&mut i)
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--threads needs a number")?;
-            }
-            "--trace-json" => trace_json = Some(take(&mut i).ok_or("--trace-json needs a path")?),
-            "--cache-dir" => cache_dir = Some(take(&mut i).ok_or("--cache-dir needs a directory")?),
-            "--server" => server = Some(take(&mut i).ok_or("--server needs host:port")?),
+            "--threads" => threads = v.take(flag, NUMBER, number)?,
+            "--trace-json" => trace_json = Some(v.take(flag, "needs a path", text)?),
+            "--cache-dir" => cache_dir = Some(v.take(flag, "needs a directory", text)?),
+            "--server" => server = Some(v.take(flag, "needs host:port", text)?),
             "--preset" => {
-                let name = take(&mut i).ok_or("--preset needs a machine preset name")?;
-                if machine_by_name(&name).is_none() {
-                    return Err(format!("unknown machine preset `{name}`"));
+                machines.push(v.take(flag, "needs a machine preset name", |name| {
+                    Some((name.to_string(), machine_by_name(name)?))
+                })?);
+            }
+            "--stratum" => {
+                let named = v.take(flag, "needs a stratum name or `all`", |name| match name {
+                    "all" => Some(Stratum::ALL.to_vec()),
+                    name => Stratum::parse(name).map(|s| vec![s]),
+                })?;
+                for s in named {
+                    if !strata.contains(&s) {
+                        strata.push(s);
+                    }
                 }
-                preset_names.push(name);
             }
-            "--stratum" => match take(&mut i).as_deref() {
-                Some("all") => strata = Stratum::ALL.to_vec(),
-                Some(name) => {
-                    strata.push(Stratum::parse(name).ok_or(format!("unknown stratum `{name}`"))?);
-                }
-                None => return Err("--stratum needs a stratum name or `all`".into()),
-            },
-            "--stratum-loops" => {
-                stratum_loops = take(&mut i)
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--stratum-loops needs a number")?;
-            }
-            "--seed" => {
-                seed = take(&mut i)
-                    .as_deref()
-                    .and_then(parse_seed)
-                    .ok_or("--seed needs a number (decimal or 0x hex)")?;
-            }
-            "--strata-csv" => strata_csv = Some(take(&mut i).ok_or("--strata-csv needs a path")?),
-            other => return Err(format!("unknown batch option `{other}`")),
+            "--stratum-loops" => stratum_loops = v.take(flag, NUMBER, number)?,
+            "--seed" => stratum_seed = v.take(flag, SEED, seed)?,
+            "--strata-csv" => strata_csv = Some(v.take(flag, "needs a path", text)?),
+            _ => return Ok(false),
         }
-        i += 1;
+        Ok(true)
+    })?;
+    if strata_csv.is_some() && strata.is_empty() {
+        return Err(Exit::Usage("--strata-csv needs --stratum".into()));
+    }
+    if machines.is_empty() {
+        machines = preset_list();
     }
 
-    // Loop set: generated strata when any --stratum is given, the .clasp
-    // files under --dir otherwise.
-    let mut loops = Vec::new();
+    // Loop set, each with its stratum: generated strata when any
+    // --stratum is given, the .clasp files under --dir otherwise.
+    let mut loops: Vec<(String, Ddg, Option<Stratum>)> = Vec::new();
     if strata.is_empty() {
         let mut paths: Vec<std::path::PathBuf> = std::fs::read_dir(&dir)
             .map_err(|e| format!("{dir}: {e}"))?
@@ -721,34 +843,22 @@ fn batch(args: &[String]) -> Result<bool, String> {
             .collect();
         paths.sort(); // deterministic pair order regardless of readdir order
         if paths.is_empty() {
-            return Err(format!("no .clasp loops under {dir}"));
+            return Err(format!("no .clasp loops under {dir}").into());
         }
         for p in &paths {
             let stem = p
                 .file_stem()
                 .map(|s| s.to_string_lossy().into_owned())
                 .unwrap_or_default();
-            loops.push((stem, load_loop(&p.to_string_lossy())?));
+            loops.push((stem, load_loop(&p.to_string_lossy())?, None));
         }
     } else {
         for &s in &strata {
-            for g in generate_stratum(s, stratum_loops, seed) {
-                loops.push((g.name().to_string(), g));
+            for g in generate_stratum(s, stratum_loops, stratum_seed) {
+                loops.push((g.name().to_string(), g, Some(s)));
             }
         }
     }
-    // Machine set: the named --preset machines, or the classic list.
-    let machines: Vec<(String, MachineSpec)> = if preset_names.is_empty() {
-        preset_list()
-            .into_iter()
-            .map(|(n, m)| (n.to_string(), m))
-            .collect()
-    } else {
-        preset_names
-            .iter()
-            .map(|n| (n.clone(), machine_by_name(n).expect("validated above")))
-            .collect()
-    };
     let pairs: Vec<(usize, usize)> = (0..loops.len())
         .flat_map(|l| (0..machines.len()).map(move |m| (l, m)))
         .collect();
@@ -760,47 +870,38 @@ fn batch(args: &[String]) -> Result<bool, String> {
     let t0 = std::time::Instant::now();
     let (rows, footer) = if let Some(addr) = &server {
         // Remote mode: one connection, pairs in deterministic order.
-        // Rows come from the daemon's canonical artifacts and print
-        // bit-identically to a local run; the footer skips local cache
-        // state (the daemon owns it — ask via the `stats` verb).
-        let mut client = Client::connect(addr).map_err(|e| format!("{addr}: {e}"))?;
-        let mut compile = |g: &Ddg, machine: &MachineSpec| {
-            let mut sreq = ServiceRequest::new(
-                clasp_text::write_loop(g),
-                clasp_text::write_machine(machine),
-            );
-            sreq.request = req;
-            let reply = client.compile(&sreq).map_err(|e| format!("{addr}: {e}"))?;
-            reply.decode().map_err(|e| format!("{addr}: {e}"))
-        };
+        // The footer skips local cache state (the daemon owns it — ask
+        // via the `stats` verb).
+        let mut client = connect(addr)?;
         let mut rows = Vec::with_capacity(pairs.len());
         for &(l, m) in &pairs {
-            let (_, g) = &loops[l];
+            let (_, g, _) = &loops[l];
             let (_, machine) = &machines[m];
-            let clustered = compile(g, machine)?;
-            let unified = compile(g, &machine.unified_equivalent())?;
-            rows.push(batch_row(&clustered, &unified, machine));
+            let unified_machine = machine.unified_equivalent();
+            let (clustered, _) = remote_compile(&mut client, addr, g, machine, &req, false)?;
+            let (unified, _) = remote_compile(&mut client, addr, g, &unified_machine, &req, false)?;
+            rows.push(Row::of(&clustered, &unified, machine));
         }
         (rows, None)
     } else {
-        let service = local_service(cache_dir.as_deref()).map(std::sync::Arc::new)?;
+        let service = local_service(cache_dir.as_deref())?;
         let obs = Obs::enabled();
         let rows = clasp_exec::sweep_observed(
             threads,
             &pairs,
             |_, &(l, m)| format!("loop {} on {}", loops[l].0, machines[m].0),
             |_, &(l, m)| {
-                let (_, g) = &loops[l];
+                let (_, g, _) = &loops[l];
                 let (_, machine) = &machines[m];
                 let clustered = service.compile_artifact(g, machine, &req, &obs);
                 let unified =
                     service.compile_artifact(g, &machine.unified_equivalent(), &req, &obs);
-                batch_row(clustered.as_ref(), unified.as_ref(), machine)
+                Row::of(clustered.as_ref(), unified.as_ref(), machine)
             },
             &obs,
         )
         .map_err(|p| format!("batch sweep panicked: {p}"))?;
-        write_trace(trace_json.as_deref(), &obs)?;
+        write_trace(trace_json.as_deref(), || obs.chrome_trace())?;
         (rows, Some((service, obs)))
     };
     let elapsed = t0.elapsed();
@@ -808,58 +909,54 @@ fn batch(args: &[String]) -> Result<bool, String> {
     let mut failed = 0usize;
     for (&(l, m), row) in pairs.iter().zip(&rows) {
         let label = format!("{} x {}", loops[l].0, machines[m].0);
-        match row {
-            Ok(line) => println!("{label:<24} {line}"),
+        match &row.line {
+            Ok(line) => writeln!(out, "{label:<24} {line}")?,
             Err(e) => {
                 failed += 1;
-                println!("{label:<24} FAILED: {e}");
+                writeln!(out, "{label:<24} FAILED: {e}")?;
             }
         }
     }
+    let summary = format!(
+        "batch: {} loops x {} machines = {} pairs, {} failed;",
+        loops.len(),
+        machines.len(),
+        pairs.len(),
+        failed
+    );
     match &footer {
         Some((service, obs)) => {
-            println!(
-                "batch: {} loops x {} machines = {} pairs, {} failed; cache {}",
-                loops.len(),
-                machines.len(),
-                pairs.len(),
-                failed,
-                service.stats()
-            );
+            writeln!(out, "{summary} cache {}", service.stats())?;
             // Every counter depends only on work done, never on worker
             // interleaving, so this block is part of the bit-identical
             // report.
-            println!("counters:");
+            writeln!(out, "counters:")?;
             for (name, value) in obs.counters() {
-                println!("  {name} = {value}");
+                writeln!(out, "  {name} = {value}")?;
             }
         }
-        None => {
-            println!(
-                "batch: {} loops x {} machines = {} pairs, {} failed; server",
-                loops.len(),
-                machines.len(),
-                pairs.len(),
-                failed
-            );
-        }
+        None => writeln!(out, "{summary} server")?,
     }
-    if let Some(csv_path) = &strata_csv {
-        let Some((service, _)) = &footer else {
-            return Err("--strata-csv needs a local sweep (drop --server)".into());
-        };
-        // The aggregated {preset × stratum} degradation report. Pairs the
-        // batch already compiled come back as cache hits, so this adds
-        // only the strata/presets the row sweep above skipped.
-        let sweep_cfg = SweepConfig {
-            presets: machines.iter().map(|(n, _)| n.clone()).collect(),
+    if let Some(path) = &strata_csv {
+        // The {preset × stratum} degradation table, summed from the
+        // pairs above in preset-major, then stratum order.
+        let report = SweepReport {
+            seed: stratum_seed,
             loops_per_stratum: stratum_loops,
-            seed,
-            threads,
+            rows: (0..machines.len())
+                .flat_map(|m| strata.iter().map(move |&s| (m, s)))
+                .map(|(m, s)| {
+                    let iis = pairs
+                        .iter()
+                        .zip(&rows)
+                        .filter(|&(&(l, pm), _)| pm == m && loops[l].2 == Some(s))
+                        .map(|(_, row)| row.iis);
+                    SweepRow::sum(&machines[m].0, s, iis)
+                })
+                .collect(),
         };
-        let report = run_sweep(&sweep_cfg, service)?;
-        std::fs::write(csv_path, report.render_csv()).map_err(|e| format!("{csv_path}: {e}"))?;
-        println!("strata csv: {csv_path} ({} rows)", report.rows.len());
+        std::fs::write(path, report.render_csv()).map_err(|e| format!("{path}: {e}"))?;
+        writeln!(out, "strata csv: {path} ({} rows)", report.rows.len())?;
     }
     eprintln!(
         "batch: {} workers, {elapsed:.1?}",
@@ -868,29 +965,35 @@ fn batch(args: &[String]) -> Result<bool, String> {
     Ok(failed == 0)
 }
 
-fn machines() {
-    println!("presets (defaults in parentheses; override with --buses/--ports):");
+fn machines(out: &mut dyn Write) -> io::Result<()> {
+    writeln!(
+        out,
+        "presets (defaults in parentheses; override with --buses/--ports):"
+    )?;
     for (name, m) in preset_list() {
-        println!("  {name:<8} {m}");
+        writeln!(out, "  {name:<8} {m}")?;
     }
-    println!(
+    writeln!(
+        out,
         "\nparameterized families (pure functions of the name; no overrides):\n\
          \x20 mesh{{R}}x{{C}}     R x C grid of 1-wide PEs, p2p mesh links\n\
          \x20 torus{{R}}x{{C}}    mesh plus row/column wraparound links\n\
          \x20 pe-grid{{R}}x{{C}}  mesh fabric over a heterogeneous PE cycle\n\
          \x20 het{{N}}c-s{{SEED}} N clusters with a machgen-style FU mix from hex SEED"
-    );
-    println!("examples:");
+    )?;
+    writeln!(out, "examples:")?;
     for name in clasp::strata::DEFAULT_SWEEP_PRESETS {
-        if let Some(m) = clasp::strata::machine_by_name(name) {
-            println!("  {name:<12} {m}");
+        if let Some(m) = machine_by_name(name) {
+            writeln!(out, "  {name:<12} {m}")?;
         }
     }
+    Ok(())
 }
 
-fn load(args: &[String]) -> Result<bool, String> {
+fn load(args: &[String], out: &mut dyn Write) -> Result<bool, Exit> {
     use clasp::load::{run_load_suite, LoadProfile, Transport};
     use clasp_load::{committed_cell_field, Mix};
+    use std::net::ToSocketAddrs;
 
     let mut profile = LoadProfile {
         hard_dir: Some("results/hard".into()),
@@ -900,76 +1003,44 @@ fn load(args: &[String]) -> Result<bool, String> {
     let mut json_out: Option<String> = None;
     let mut gate: Option<String> = None;
     let mut gate_factor = 8.0f64;
-    let mut i = 0;
-    while i < args.len() {
-        let take = |i: &mut usize| -> Option<String> {
-            *i += 1;
-            args.get(*i).cloned()
-        };
-        match args[i].as_str() {
-            "--mix" => match take(&mut i).as_deref() {
-                Some("all") => {}
-                Some(name) => {
-                    profile.mixes = vec![Mix::parse(name).ok_or(format!("unknown mix `{name}`"))?];
-                }
-                None => return Err("--mix needs hot|cold|mixed|all".into()),
-            },
-            "--transport" => match take(&mut i).as_deref() {
-                Some("all") => {}
-                Some(name) => {
-                    profile.transports =
-                        vec![Transport::parse(name).ok_or(format!("unknown transport `{name}`"))?];
-                }
-                None => return Err("--transport needs inproc|tcp|all".into()),
-            },
-            "--clients" => match take(&mut i).as_deref() {
-                Some("all") => {}
-                Some(n) => {
-                    profile.clients = vec![n.parse().map_err(|_| "--clients needs a number")?];
-                }
-                None => return Err("--clients needs a number or `all`".into()),
-            },
-            "--requests" => {
-                profile.requests_per_cell = take(&mut i)
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--requests needs a number")?;
-            }
-            "--seed" => {
-                profile.seed = take(&mut i)
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--seed needs a number")?;
-            }
-            "--rate" => {
-                profile.rate = take(&mut i)
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--rate needs requests/second")?;
-            }
+    // `all` keeps the profile's list; one value narrows it to that one.
+    fn one_or_all<T>(list: &mut Vec<T>, v: &str, read: impl Fn(&str) -> Option<T>) -> Option<()> {
+        if v != "all" {
+            *list = vec![read(v)?];
+        }
+        Some(())
+    }
+    Flags::read("load", args, |flag, v| {
+        match flag {
+            "--mix" => v.take(flag, "needs hot|cold|mixed|all", |v| {
+                one_or_all(&mut profile.mixes, v, Mix::parse)
+            })?,
+            "--transport" => v.take(flag, "needs inproc|tcp|all", |v| {
+                one_or_all(&mut profile.transports, v, Transport::parse)
+            })?,
+            "--clients" => v.take(flag, "needs a number or `all`", |v| {
+                one_or_all(&mut profile.clients, v, number)
+            })?,
+            "--requests" => profile.requests_per_cell = v.take(flag, NUMBER, number)?,
+            "--seed" => profile.seed = v.take(flag, SEED, seed)?,
+            "--rate" => profile.rate = v.take(flag, "needs requests/second", number)?,
             "--hard-dir" => {
-                profile.hard_dir = Some(take(&mut i).ok_or("--hard-dir needs a directory")?.into());
+                profile.hard_dir = Some(v.take(flag, "needs a directory", text)?.into());
             }
             "--server" => {
-                use std::net::ToSocketAddrs;
-                let addr = take(&mut i).ok_or("--server needs host:port")?;
-                profile.server = Some(
-                    addr.to_socket_addrs()
-                        .map_err(|e| format!("{addr}: {e}"))?
-                        .next()
-                        .ok_or(format!("{addr}: no address"))?,
-                );
+                profile.server = Some(v.take(flag, "needs host:port", |addr| {
+                    addr.to_socket_addrs().ok()?.next()
+                })?);
                 profile.transports = vec![Transport::Tcp];
             }
-            "--json" => json_out = Some(take(&mut i).ok_or("--json needs a path")?),
-            "--trace-json" => trace_json = Some(take(&mut i).ok_or("--trace-json needs a path")?),
-            "--gate" => gate = Some(take(&mut i).ok_or("--gate needs a BENCH_load.json path")?),
-            "--gate-factor" => {
-                gate_factor = take(&mut i)
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--gate-factor needs a number")?;
-            }
-            other => return Err(format!("unknown load option `{other}`")),
+            "--json" => json_out = Some(v.take(flag, "needs a path", text)?),
+            "--trace-json" => trace_json = Some(v.take(flag, "needs a path", text)?),
+            "--gate" => gate = Some(v.take(flag, "needs a BENCH_load.json path", text)?),
+            "--gate-factor" => gate_factor = v.take(flag, NUMBER, number)?,
+            _ => return Ok(false),
         }
-        i += 1;
-    }
+        Ok(true)
+    })?;
 
     // Read the baseline before the run: `--json` may name the same file
     // and overwrite it with this run's numbers.
@@ -984,23 +1055,21 @@ fn load(args: &[String]) -> Result<bool, String> {
         Obs::disabled()
     };
     let suite = run_load_suite(&profile, &obs)?;
-    if let Some(path) = &trace_json {
-        std::fs::write(path, obs.chrome_trace()).map_err(|e| format!("{path}: {e}"))?;
-        eprintln!("trace: {path}");
-    }
+    write_trace(trace_json.as_deref(), || obs.chrome_trace())?;
 
     for cell in &suite.cells {
-        println!("{}", cell.human_line());
+        writeln!(out, "{}", cell.human_line())?;
     }
     let w = &suite.watermark;
     let opt = |v: Option<u64>| v.map_or("n/a".to_string(), |v| v.to_string());
-    println!(
+    writeln!(
+        out,
         "resources: fd {} -> peak {} -> {}; rss peak {} KiB",
         opt(w.before.fds),
         opt(w.fd_peak),
         opt(w.after.fds),
         opt(w.rss_peak_kb)
-    );
+    )?;
     if let Some(path) = &json_out {
         std::fs::write(path, suite.render_json()).map_err(|e| format!("{path}: {e}"))?;
         eprintln!("report: {path}");
@@ -1009,14 +1078,17 @@ fn load(args: &[String]) -> Result<bool, String> {
     let mut ok = true;
     let errors = suite.total_errors();
     if errors > 0 {
-        println!("FAIL: {errors} load errors");
+        writeln!(out, "FAIL: {errors} load errors")?;
         ok = false;
     }
     // A handful of fds of slack: the trace/report files and allocator
     // pools opened during the run, never per-connection growth.
     if let Some(growth) = w.fd_growth() {
         if growth > 4 {
-            println!("FAIL: fd leak — {growth} more fds open after the run than before");
+            writeln!(
+                out,
+                "FAIL: fd leak — {growth} more fds open after the run than before"
+            )?;
             ok = false;
         }
     }
@@ -1030,140 +1102,82 @@ fn load(args: &[String]) -> Result<bool, String> {
                     // raw ratio against a lucky baseline is meaningless.
                     let ratio = clasp_load::gate_ratio(p99, base);
                     let verdict = if ratio > gate_factor { "FAIL" } else { "ok" };
-                    println!(
+                    writeln!(
+                        out,
                         "gate {:<18} p99 {:.2}x committed ({verdict}, factor {gate_factor})",
                         cell.name, ratio
-                    );
+                    )?;
                     if ratio > gate_factor {
                         ok = false;
                     }
                 }
-                _ => println!("gate {:<18} no committed baseline — skipped", cell.name),
+                _ => writeln!(
+                    out,
+                    "gate {:<18} no committed baseline — skipped",
+                    cell.name
+                )?,
             }
         }
     }
     Ok(ok)
 }
 
+/// Read the subcommand's flags, then run it; `Ok(false)` when the run's
+/// report names failures (fuzz violations, `FAILED` batch rows, load
+/// gates, corpus drift).
+fn run(args: &[String], out: &mut dyn Write) -> Result<bool, Exit> {
+    let Some((cmd, args)) = args.split_first() else {
+        return Err(Exit::Usage(format!("no subcommand given\n{USAGE}")));
+    };
+    let clean = match cmd.as_str() {
+        "analyze" | "compile" | "simulate" => {
+            let Some((path, args)) = args.split_first() else {
+                return Err(Exit::Usage(format!("{cmd} needs a loop file\n{USAGE}")));
+            };
+            let opts = Options::read(cmd, args)?;
+            let g = load_loop(path)?;
+            match cmd.as_str() {
+                "analyze" => analyze(&g, out)?,
+                "compile" => compile(&g, &opts, out)?,
+                _ => simulate(&g, &opts, out)?,
+            }
+            true
+        }
+        "fuzz" => fuzz(args, out)?,
+        "batch" => batch(args, out)?,
+        "load" => load(args, out)?,
+        "corpus" => corpus(args, out)?,
+        "machines" => {
+            Flags::read(cmd, args, |_, _| Ok(false))?;
+            machines(out)?;
+            true
+        }
+        other => {
+            return Err(Exit::Usage(format!(
+                "unknown subcommand `{other}`\n{USAGE}"
+            )))
+        }
+    };
+    out.flush()?;
+    Ok(clean)
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = args.first() else {
-        return usage();
-    };
-    if cmd == "machines" {
-        machines();
-        return ExitCode::SUCCESS;
-    }
-    if cmd == "fuzz" || cmd == "batch" || cmd == "load" || cmd == "corpus" {
-        let outcome = match cmd.as_str() {
-            "fuzz" => fuzz(&args[1..]),
-            "batch" => batch(&args[1..]),
-            "corpus" => corpus_cmd(&args[1..]),
-            _ => load(&args[1..]),
-        };
-        return match outcome {
-            Ok(true) => ExitCode::SUCCESS,
-            Ok(false) => ExitCode::FAILURE,
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::from(2)
-            }
-        };
-    }
-    let Some(path) = args.get(1) else {
-        return usage();
-    };
-    let mut opts = Options::default();
-    let mut i = 2;
-    while i < args.len() {
-        let take = |i: &mut usize| -> Option<String> {
-            *i += 1;
-            args.get(*i).cloned()
-        };
-        let flag = args[i].clone();
-        let result: Result<(), String> = match flag.as_str() {
-            "--machine" => take(&mut i)
-                .map(|v| opts.machine = v)
-                .ok_or("--machine needs a value".into()),
-            "--machine-file" => take(&mut i)
-                .map(|v| opts.machine_file = Some(v))
-                .ok_or("--machine-file needs a path".into()),
-            "--buses" => {
-                count_flag("--buses", take(&mut i), MAX_BUSES).map(|v| opts.buses = Some(v))
-            }
-            "--ports" => {
-                count_flag("--ports", take(&mut i), MAX_PORTS).map(|v| opts.ports = Some(v))
-            }
-            "--variant" => match take(&mut i) {
-                Some(v) => parse_variant(&v).map(|p| opts.variant = p),
-                None => Err("--variant needs a value".into()),
-            },
-            "--scheduler" => take(&mut i)
-                .and_then(|v| SchedulerKind::parse(&v))
-                .map(|k| opts.scheduler = k)
-                .ok_or("--scheduler is `iterative` or `swing`".into()),
-            "--backend" => take(&mut i)
-                .and_then(|v| BackendKind::parse(&v))
-                .map(|k| opts.backend = k)
-                .ok_or("--backend is `heuristic` or `exact`".into()),
-            "--model" => take(&mut i)
-                .and_then(|v| RegisterModelKind::parse(&v))
-                .map(|k| opts.model = k)
-                .ok_or("--model is `mve` or `rotating`".into()),
-            "--iterations" => iterations_flag(take(&mut i)).map(|v| opts.iterations = v),
-            "--dot" => {
-                opts.dot = true;
-                Ok(())
-            }
-            "--kernel" => {
-                opts.kernel = true;
-                Ok(())
-            }
-            "--explain" => {
-                opts.explain = true;
-                Ok(())
-            }
-            "--trace-json" => take(&mut i)
-                .map(|v| opts.trace_json = Some(v))
-                .ok_or("--trace-json needs a path".into()),
-            "--cache-dir" => take(&mut i)
-                .map(|v| opts.cache_dir = Some(v))
-                .ok_or("--cache-dir needs a directory".into()),
-            "--server" => take(&mut i)
-                .map(|v| opts.server = Some(v))
-                .ok_or("--server needs host:port".into()),
-            other => Err(format!("unknown option `{other}`")),
-        };
-        if let Err(e) = result {
+    match run(&args, &mut io::stdout().lock()) {
+        Ok(true) => ExitCode::SUCCESS,
+        Ok(false) => ExitCode::FAILURE,
+        Err(Exit::Usage(e)) => {
             eprintln!("error: {e}");
-            return ExitCode::from(2);
+            ExitCode::from(2)
         }
-        i += 1;
-    }
-
-    let g = match load_loop(path) {
-        Ok(g) => g,
-        Err(e) => {
+        Err(Exit::Failed(e)) => {
             eprintln!("error: {e}");
-            return ExitCode::FAILURE;
+            ExitCode::FAILURE
         }
-    };
-
-    let outcome = match cmd.as_str() {
-        "analyze" => {
-            analyze(&g);
-            Ok(())
-        }
-        "compile" => compile(&g, &opts),
-        "simulate" => simulate(&g, &opts),
-        _ => {
-            return usage();
-        }
-    };
-    match outcome {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}");
+        Err(Exit::Io(e)) if e.kind() == io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(Exit::Io(e)) => {
+            eprintln!("error: writing stdout: {e}");
             ExitCode::FAILURE
         }
     }

@@ -49,7 +49,7 @@ use std::fmt::Write as _;
 /// Version tag of the payload format. Used as the first-line version
 /// marker *and* as the persistent tier's format tag; bump it whenever
 /// the encoding (or anything it transitively renders) changes shape.
-pub const ARTIFACT_FORMAT: &str = "clasp-artifact/3";
+pub const ARTIFACT_FORMAT: &str = "clasp-artifact/4";
 
 /// A payload that could not be decoded (wrong version, malformed line,
 /// out-of-range value). The persistent tier treats this as corruption:
@@ -232,6 +232,9 @@ fn write_sched_failure(f: &SchedFailure, out: &mut String) {
         SchedFailure::MiiUnbounded => {
             let _ = write!(out, "mii-unbounded");
         }
+        SchedFailure::TableTooLarge { ii, cells } => {
+            let _ = write!(out, "table-too-large {ii} {cells}");
+        }
         SchedFailure::Invalid(e) => {
             let _ = write!(out, "invalid ");
             write_schedule_error(e, out);
@@ -268,6 +271,10 @@ fn read_sched_failure(t: &mut Tokens<'_>) -> Result<SchedFailure, CodecError> {
         },
         "infeasible" => SchedFailure::Infeasible { ii: t.parse()? },
         "mii-unbounded" => SchedFailure::MiiUnbounded,
+        "table-too-large" => SchedFailure::TableTooLarge {
+            ii: t.parse()?,
+            cells: t.parse()?,
+        },
         "invalid" => SchedFailure::Invalid(read_schedule_error(t)?),
         "exhausted" => {
             let min_ii = t.parse()?;
@@ -1076,6 +1083,10 @@ mod tests {
             PipelineError::Refused(SchedFailure::Budget {
                 conflicts: 0,
                 nodes: 22,
+            }),
+            PipelineError::Refused(SchedFailure::TableTooLarge {
+                ii: 65_536,
+                cells: 1_614_807_040,
             }),
             PipelineError::IiExhausted {
                 max_ii: 12,

@@ -89,8 +89,9 @@ pub enum PipelineError {
     /// cannot execute some operation class at all: the unified MII is
     /// unbounded, so no escalation range exists for any entry point.
     UnifiedBaselineFailed(SchedFailure),
-    /// The backend refused the instance before attempting any II (the
-    /// exact backend's size cap), for the reason it carries.
+    /// The backend refused the instance, for the reason it carries: the
+    /// exact backend's size cap before any II, or a reservation table
+    /// past [`clasp_mrt::MAX_TABLE_CELLS`], which no larger II relieves.
     Refused(SchedFailure),
     /// The emitted kernel diverged from sequential semantics under the
     /// functional simulator (driver verification stage).
@@ -313,7 +314,11 @@ pub(crate) fn escalate(
                 // Scheduler failed at the assignment's II: the paper
                 // restarts the whole process one II higher (a fresh
                 // assignment generally needs fewer copies at a larger II).
+                // A refused table only grows with the II, so it ends here.
                 on_attempt(min_ii, &assignment, Some(&failure));
+                if let SchedFailure::TableTooLarge { .. } = failure {
+                    return Err(PipelineError::Refused(failure));
+                }
                 min_ii = assignment.ii + 1;
                 if let Some(assigner) = &mut assigner {
                     assigner.recycle(assignment);

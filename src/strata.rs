@@ -1,23 +1,23 @@
-//! The {preset × stratum} sweep: per-stratum clustered-vs-unified II
-//! degradation over the named machine presets.
+//! The {preset × stratum} degradation table: per-stratum
+//! clustered-vs-unified II over named machine presets, and the preset
+//! names themselves.
 //!
 //! The paper's figures report clustered II as a ratio of the unified
 //! baseline averaged over one corpus; the stratified corpus
 //! ([`clasp_loopgen::strata`]) splits that average by scheduling
-//! pressure, and this module sweeps each stratum across a set of named
-//! presets — CGRA-style meshes and tori, heterogeneous FU mixes, and the
-//! classic bused machines — through the [`CompileService`] facade on the
-//! deterministic executor. The aggregates are integer sums in a fixed
-//! row order, so the rendered report (`results/strata.csv`) is
-//! bit-identical for every thread count and cache temperature
-//! (`tests/strata.rs` and CI's strata-smoke job compare it).
+//! pressure. `clasp-cli batch --stratum ... --strata-csv PATH` compiles
+//! each generated loop on each preset, plus its unified baseline, keeps
+//! every pair's two IIs, and sums them per (preset, stratum) with
+//! [`SweepRow::sum`]. The sums are integers in a fixed row order, so the
+//! rendered table (`results/strata.csv`) is bit-identical for every
+//! thread count and cache temperature (`tests/cli.rs` and CI's
+//! strata-smoke job compare it).
+//!
+//! [`CLASSIC_PRESETS`] and [`machine_by_name`] resolve the machine names
+//! that `clasp-cli` and the benchmarks accept.
 
-use crate::service::CompileService;
-use crate::CompileRequest;
-use clasp_ddg::Ddg;
-use clasp_loopgen::{generate_stratum, Stratum};
+use clasp_loopgen::Stratum;
 use clasp_machine::{presets, MachineSpec};
-use clasp_obs::Obs;
 
 /// The preset set the committed `results/strata.csv` sweeps: one mesh,
 /// one torus, one PE grid, one heterogeneous machgen promotion, and the
@@ -65,38 +65,6 @@ pub fn machine_by_name(name: &str) -> Option<MachineSpec> {
     }
 }
 
-/// Sweep parameters.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SweepConfig {
-    /// Preset names to sweep (resolved via [`machine_by_name`]).
-    pub presets: Vec<String>,
-    /// Loops per stratum (the fixed `livermore` stratum caps at its
-    /// anchor-set size).
-    pub loops_per_stratum: usize,
-    /// Base corpus seed; per-stratum seeds derive from it.
-    pub seed: u64,
-    /// Executor workers (0 = one per hardware thread). The report is
-    /// bit-identical for every value.
-    pub threads: usize,
-}
-
-impl Default for SweepConfig {
-    /// The committed `results/strata.csv` configuration: the default
-    /// preset set over a 40-loop slice of each stratum at the corpus
-    /// seed.
-    fn default() -> Self {
-        SweepConfig {
-            presets: DEFAULT_SWEEP_PRESETS
-                .iter()
-                .map(|s| s.to_string())
-                .collect(),
-            loops_per_stratum: 40,
-            seed: 0x1998_C1A5,
-            threads: 0,
-        }
-    }
-}
-
 /// One (preset, stratum) cell of the sweep.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SweepRow {
@@ -116,6 +84,32 @@ pub struct SweepRow {
 }
 
 impl SweepRow {
+    /// Sum one (preset, stratum) cell from its loops' (clustered II,
+    /// unified II) pairs, `None` where either compile failed.
+    pub fn sum(
+        preset: &str,
+        stratum: Stratum,
+        iis: impl IntoIterator<Item = Option<(u32, u32)>>,
+    ) -> SweepRow {
+        let mut row = SweepRow {
+            preset: preset.to_string(),
+            stratum,
+            loops: 0,
+            compiled: 0,
+            clustered_ii_sum: 0,
+            unified_ii_sum: 0,
+        };
+        for pair in iis {
+            row.loops += 1;
+            if let Some((c, u)) = pair {
+                row.compiled += 1;
+                row.clustered_ii_sum += u64::from(c);
+                row.unified_ii_sum += u64::from(u);
+            }
+        }
+        row
+    }
+
     /// Mean clustered-over-unified II ratio (the paper's degradation
     /// figure), or `None` when nothing compiled.
     pub fn degradation(&self) -> Option<f64> {
@@ -128,11 +122,14 @@ impl SweepRow {
     }
 }
 
-/// The full sweep result, in (preset-major, manifest stratum order).
+/// The full sweep result, in (preset-major, stratum order).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepReport {
-    /// The configuration the sweep ran under.
-    pub config: SweepConfig,
+    /// Base corpus seed; per-stratum seeds derive from it.
+    pub seed: u64,
+    /// Loops generated per stratum (the fixed `livermore` stratum caps
+    /// at its anchor-set size).
+    pub loops_per_stratum: usize,
     /// One row per (preset, stratum).
     pub rows: Vec<SweepRow>,
 }
@@ -145,7 +142,7 @@ impl SweepReport {
     pub fn render_csv(&self) -> String {
         let mut out = format!(
             "# clasp strata sweep: seed 0x{:x}, {} loops per stratum\n",
-            self.config.seed, self.config.loops_per_stratum
+            self.seed, self.loops_per_stratum
         );
         out.push_str("preset,stratum,loops,compiled,clustered_ii_sum,unified_ii_sum,degradation\n");
         for r in &self.rows {
@@ -162,82 +159,6 @@ impl SweepReport {
         }
         out
     }
-}
-
-/// Per-loop (clustered II, unified II) pairs for one machine, swept on
-/// the deterministic executor through `service`. `None` marks a loop
-/// either compile refused. Bit-identical for every `threads` value and
-/// cache temperature.
-pub fn sweep_pair_iis(
-    service: &CompileService,
-    machine: &MachineSpec,
-    loops: &[Ddg],
-    threads: usize,
-    req: &CompileRequest,
-) -> Result<Vec<Option<(u32, u32)>>, String> {
-    let quiet = Obs::disabled();
-    let unified = machine.unified_equivalent();
-    clasp_exec::sweep(
-        threads,
-        loops,
-        |_, g: &Ddg| format!("{} on {}", g.name(), machine.name()),
-        |_, g| {
-            let clustered = service.compile_artifact(g, machine, req, &quiet);
-            let baseline = service.compile_artifact(g, &unified, req, &quiet);
-            match (clustered.as_ref(), baseline.as_ref()) {
-                (Ok(c), Ok(u)) => Some((c.ii(), u.ii())),
-                _ => None,
-            }
-        },
-    )
-    .map_err(|p| format!("strata sweep panicked: {p}"))
-}
-
-/// Run the whole {preset × stratum} sweep through `service`.
-///
-/// # Errors
-///
-/// An unresolvable preset name, or a worker panic.
-pub fn run_sweep(config: &SweepConfig, service: &CompileService) -> Result<SweepReport, String> {
-    let mut machines = Vec::with_capacity(config.presets.len());
-    for name in &config.presets {
-        let m = machine_by_name(name).ok_or_else(|| format!("unknown machine preset `{name}`"))?;
-        machines.push((name.clone(), m));
-    }
-    let strata: Vec<(Stratum, Vec<Ddg>)> = Stratum::ALL
-        .into_iter()
-        .map(|s| {
-            (
-                s,
-                generate_stratum(s, config.loops_per_stratum, config.seed),
-            )
-        })
-        .collect();
-    let req = CompileRequest::default();
-    let mut rows = Vec::with_capacity(machines.len() * strata.len());
-    for (name, machine) in &machines {
-        for (stratum, loops) in &strata {
-            let iis = sweep_pair_iis(service, machine, loops, config.threads, &req)?;
-            let mut row = SweepRow {
-                preset: name.clone(),
-                stratum: *stratum,
-                loops: loops.len(),
-                compiled: 0,
-                clustered_ii_sum: 0,
-                unified_ii_sum: 0,
-            };
-            for (c, u) in iis.into_iter().flatten() {
-                row.compiled += 1;
-                row.clustered_ii_sum += u64::from(c);
-                row.unified_ii_sum += u64::from(u);
-            }
-            rows.push(row);
-        }
-    }
-    Ok(SweepReport {
-        config: config.clone(),
-        rows,
-    })
 }
 
 #[cfg(test)]
@@ -259,57 +180,21 @@ mod tests {
     }
 
     #[test]
-    fn tiny_sweep_is_thread_and_cache_invariant() {
-        let config = SweepConfig {
-            presets: vec!["mesh3x3".into(), "4c-gp".into()],
-            loops_per_stratum: 3,
-            seed: 7,
-            threads: 1,
-        };
-        let service = CompileService::in_memory();
-        let serial = run_sweep(&config, &service).unwrap();
-        // Same service (warm cache), more workers: identical report.
-        let parallel = run_sweep(
-            &SweepConfig {
-                threads: 4,
-                ..config.clone()
-            },
-            &service,
-        )
-        .unwrap();
-        assert_eq!(serial.rows, parallel.rows);
-        assert_eq!(serial.render_csv(), parallel.render_csv());
-        // Cold service: still identical (content-addressed compiles).
-        let cold = run_sweep(&config, &CompileService::in_memory()).unwrap();
-        assert_eq!(serial.rows, cold.rows);
-        // Every row attempted every loop, and something compiled.
-        assert_eq!(serial.rows.len(), 2 * Stratum::ALL.len());
-        assert!(serial.rows.iter().all(|r| r.compiled > 0));
-    }
-
-    #[test]
     fn csv_shape_is_stable() {
         let report = SweepReport {
-            config: SweepConfig {
-                presets: vec!["mesh3x3".into()],
-                loops_per_stratum: 1,
-                seed: 1,
-                threads: 1,
-            },
-            rows: vec![SweepRow {
-                preset: "mesh3x3".into(),
-                stratum: Stratum::Livermore,
-                loops: 1,
-                compiled: 1,
-                clustered_ii_sum: 12,
-                unified_ii_sum: 10,
-            }],
+            seed: 1,
+            loops_per_stratum: 1,
+            rows: vec![SweepRow::sum(
+                "mesh3x3",
+                Stratum::Livermore,
+                [Some((12, 10)), None],
+            )],
         };
         let csv = report.render_csv();
         assert!(csv.starts_with("# clasp strata sweep: seed 0x1, 1 loops per stratum\n"));
         assert!(csv.contains(
             "preset,stratum,loops,compiled,clustered_ii_sum,unified_ii_sum,degradation\n"
         ));
-        assert!(csv.ends_with("mesh3x3,livermore,1,1,12,10,1.2000\n"));
+        assert!(csv.ends_with("mesh3x3,livermore,2,1,12,10,1.2000\n"));
     }
 }

@@ -402,3 +402,204 @@ fn load_gates_against_the_baseline_before_overwriting_it() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("missing.json"));
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A `clasp-cli` run whose stdout is a pipe with no reader from the
+/// start, so its first write fails with a broken pipe.
+fn run_with_stdout_closed(args: &[&str]) -> std::process::Output {
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    cli()
+        .args(args)
+        .stdout(writer)
+        .output()
+        .expect("binary runs")
+}
+
+#[test]
+fn a_closed_stdout_ends_the_run_quietly() {
+    let fir4 = loops_dir().join("fir4.clasp");
+    let dir = loops_dir();
+    for args in [
+        &[
+            "compile",
+            fir4.to_str().unwrap(),
+            "--machine",
+            "4c-gp",
+            "--kernel",
+        ][..],
+        &["batch", "--dir", dir.to_str().unwrap()],
+        &["analyze", fir4.to_str().unwrap()],
+    ] {
+        let out = run_with_stdout_closed(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
+fn flag_combinations_are_refused_before_any_work() {
+    let dir = std::env::temp_dir().join(format!("clasp-cli-combos-{}", std::process::id()));
+    let csv = dir.join("strata.csv");
+    let hard = dir.join("hard");
+    let cases: [(&[&str], &str); 3] = [
+        (
+            &["fuzz", "--cases", "5", "--hard-out", hard.to_str().unwrap()],
+            "--hard-out requires --exact",
+        ),
+        (
+            &["batch", "--strata-csv", csv.to_str().unwrap()],
+            "--strata-csv needs --stratum",
+        ),
+        (&["batch", "--seed", "0xzz"], "--seed needs a number"),
+    ];
+    for (args, message) in cases {
+        let out = cli().args(args).output().expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} ran");
+        assert!(stderr.contains(message), "{args:?}: {stderr}");
+    }
+    assert!(!dir.exists(), "a refused run wrote files");
+}
+
+#[test]
+fn every_seed_reads_hex() {
+    let out = cli()
+        .args(["fuzz", "--seed", "0x10", "--cases", "2"])
+        .output()
+        .expect("binary runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("2 cases checked (seed 16"), "{text}");
+}
+
+#[test]
+fn a_failed_run_exits_one_not_two() {
+    let missing = std::env::temp_dir().join(format!("clasp-cli-no-dir-{}", std::process::id()));
+    let out = cli()
+        .args(["batch", "--dir", missing.to_str().unwrap()])
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(1));
+    assert!(String::from_utf8_lossy(&out.stderr).starts_with("error: "));
+}
+
+#[test]
+fn strata_csv_sums_the_batch_and_is_thread_and_cache_invariant() {
+    let dir = std::env::temp_dir().join(format!("clasp-cli-strata-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let cache = dir.join("cache");
+    let run = |tag: &str, extra: &[&str]| {
+        let csv = dir.join(format!("{tag}.csv"));
+        let out = cli()
+            .args(["batch", "--stratum", "all", "--stratum-loops", "3"])
+            .args(["--preset", "mesh3x3", "--preset", "4c-gp", "--strata-csv"])
+            .arg(&csv)
+            .args(extra)
+            .output()
+            .expect("binary runs");
+        assert!(
+            out.status.success(),
+            "{tag}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let rows = String::from_utf8_lossy(&out.stdout).into_owned();
+        (std::fs::read_to_string(&csv).expect("csv written"), rows)
+    };
+    let (serial, rows) = run("t1", &["--threads", "1"]);
+    assert_eq!(run("t4", &["--threads", "4"]).0, serial);
+    let cache = cache.to_str().unwrap();
+    assert_eq!(run("cold", &["--cache-dir", cache]).0, serial);
+    assert_eq!(run("warm", &["--cache-dir", cache]).0, serial);
+
+    // One row per (preset, stratum), preset-major, each summing the
+    // (II, unified II) pairs the batch printed for that preset's loops
+    // of that stratum: the loops come stratum by stratum, `loops` each.
+    let lines: Vec<&str> = serial.lines().collect();
+    assert_eq!(
+        lines[0],
+        "# clasp strata sweep: seed 0x1998c1a5, 3 loops per stratum"
+    );
+    assert_eq!(lines.len(), 2 + 2 * 5, "{serial}");
+    let field = |row: &str, after: &str| -> u64 {
+        let rest = row.split(after).nth(1).unwrap().trim_start();
+        let end = rest.find(|c: char| !c.is_ascii_digit()).unwrap();
+        rest[..end].parse().unwrap()
+    };
+    for preset in ["mesh3x3", "4c-gp"] {
+        let mut pairs = rows
+            .lines()
+            .filter(|r| r.contains(&format!(" x {preset} ")))
+            .map(|r| (field(r, "II "), field(r, "(unified ")));
+        for line in lines[2..].iter().filter(|l| l.starts_with(preset)) {
+            let f: Vec<u64> = line
+                .split(',')
+                .skip(2)
+                .take(4)
+                .map(|v| v.parse().unwrap())
+                .collect();
+            let (mut clustered, mut unified) = (0, 0);
+            for (c, u) in pairs.by_ref().take(f[0] as usize) {
+                clustered += c;
+                unified += u;
+            }
+            assert_eq!(f, [f[0], f[0], clustered, unified], "{line}");
+        }
+        assert_eq!(pairs.next(), None, "{preset}: rows past the table");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The joint-bound pair: every dimension inside `clasp_text::limits`,
+/// their product not. A 1,024-op cycle of latency-64 dependences over
+/// one iteration (RecMII 65,536) on 256 clusters of 64 GP units (24,640
+/// reservation-table columns) asks for 1,614,807,040 cells at its first
+/// II.
+fn joint_bound_pair(dir: &std::path::Path) -> (String, String) {
+    let mut text = String::from("loop cycle1024\n\n");
+    for i in 0..1024 {
+        text.push_str(&format!("op n{i} alu\n"));
+    }
+    for i in 0..1023 {
+        text.push_str(&format!("dep n{i} -> n{} !64\n", i + 1));
+    }
+    text.push_str("dep n1023 -> n0 @1 !64\n");
+    let machine = "cluster 64gp\n".repeat(256) + "bus 64 ports 16 16\n";
+    let write = |name: &str, body: &str| {
+        let path = dir.join(name);
+        std::fs::write(&path, body).unwrap();
+        path.to_str().unwrap().to_string()
+    };
+    (
+        write("cycle1024.clasp", &text),
+        write("wide.machine", &machine),
+    )
+}
+
+#[test]
+fn a_table_past_the_cell_bound_is_a_typed_error() {
+    // Accepted, this pair asks for a 6.5 GB table and aborts under a
+    // 4 GB address-space limit (exit 134); refused, it is one line.
+    let dir = std::env::temp_dir().join(format!("clasp-cli-joint-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (cycle, machine) = joint_bound_pair(&dir);
+    let out = Command::new("sh")
+        .arg("-c")
+        .arg("ulimit -v 4000000; exec \"$0\" compile \"$1\" --machine-file \"$2\"")
+        .args([env!("CARGO_BIN_EXE_clasp-cli"), &cycle, &machine])
+        .output()
+        .expect("binary runs");
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(
+        String::from_utf8_lossy(&out.stderr).trim_end(),
+        "error: reservation table refused at II = 65536: \
+         1614807040 cells exceed the limit of 67108864"
+    );
+    assert_eq!(out.status.code(), Some(1));
+}

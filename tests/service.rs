@@ -320,3 +320,45 @@ fn daemon_replies_equal_in_process_replies_on_the_bench_corpus() {
     drop(client);
     server.shutdown().unwrap();
 }
+
+#[test]
+fn a_table_past_the_cell_bound_is_an_error_payload() {
+    // Every dimension inside `clasp_text::limits`, their product not: a
+    // 128-op cycle of latency-64 dependences (RecMII 8,192) on 128
+    // clusters of 64 GP units asks for 69,214,208 table cells at its
+    // first II. The daemon answers with the typed refusal, not an abort.
+    let mut cycle = String::from("loop cycle128\n\n");
+    for i in 0..128 {
+        cycle.push_str(&format!("op n{i} alu\n"));
+    }
+    for i in 0..127 {
+        cycle.push_str(&format!("dep n{i} -> n{} !64\n", i + 1));
+    }
+    cycle.push_str("dep n127 -> n0 @1 !64\n");
+    let machine = "cluster 64gp\n".repeat(128) + "bus 1 ports 1 1\n";
+    let server = serve_width(1);
+    let mut client = Client::connect(server.addr()).unwrap();
+    let reply = client
+        .compile(&ServiceRequest::new(cycle, machine))
+        .unwrap();
+    assert!(
+        reply.outcome.as_ref().unwrap().starts_with("error "),
+        "{reply:?}"
+    );
+    assert_eq!(
+        reply.decode().unwrap().unwrap_err(),
+        clasp::PipelineError::Refused(clasp_sched::SchedFailure::TableTooLarge {
+            ii: 8192,
+            cells: 69_214_208,
+        })
+    );
+    // The connection and the daemon stay up.
+    assert!(client
+        .compile(&requests()[0])
+        .unwrap()
+        .decode()
+        .unwrap()
+        .is_ok());
+    drop(client);
+    server.shutdown().unwrap();
+}
